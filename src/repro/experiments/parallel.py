@@ -432,41 +432,32 @@ def execute_task(
 
     Specs with ``sim.multicore`` run the workload and its co-runners
     through a :class:`~repro.sim.session.MultiCoreSession` instead of a
-    :class:`~repro.sim.engine.Simulator` — same checkpoint/resume and
-    stream-compilation contract, one aggregate result with per-core
-    results (and contention profiles) in ``result.cores``.
+    single-core session — same checkpoint/resume and stream-compilation
+    contract, one aggregate result with per-core results (and contention
+    profiles) in ``result.cores``. Every core's workload is built with
+    the task seed, and its stream is compiled *unshifted* (so the stream
+    cache is shared with single-core runs of the same workload).
     """
-    if spec.sim.multicore is not None:
-        return _execute_multicore(spec, checkpoint, stream_cache_dir)
-    workload = make_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
-    compiled = None
-    if spec.sim.compile_streams:
-        try:
-            compiled = compiled_stream_for(workload, stream_cache_dir)
-        except StreamCompileError:
-            compiled = None
-    session: SimulationSession | None = None
+    mc = spec.sim.multicore
+    co_runners = zip(mc.co_runners, mc.co_runner_kwargs) if mc is not None else ()
+    workloads = [
+        make_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
+    ] + [make_workload(name, seed=spec.seed, **kwargs) for name, kwargs in co_runners]
+    compiled = [
+        _compiled_or_none(workload, stream_cache_dir)
+        if spec.sim.compile_streams
+        else None
+        for workload in workloads
+    ]
     key = spec.key() if checkpoint is not None else None
-    if checkpoint is not None:
-        snapshot = checkpoint.load(key)
-        if snapshot is not None:
-            try:
-                session = SimulationSession.restore(
-                    snapshot, workload, compiled=compiled
-                )
-            except SimulationError:
-                checkpoint.discard(key)
-                session = None
-    if session is None:
-        simulator = spec.sim.build(spec.seed)
-        tool = spec.tool.build() if spec.tool is not None else None
-        session = simulator.start_session(
-            workload,
-            tool=tool,
-            series_bucket_cycles=spec.series_bucket_cycles,
-            max_refs=spec.max_refs,
-            compiled=compiled,
-        )
+    snapshot = checkpoint.load(key) if checkpoint is not None else None
+    try:
+        session = _open_session(spec, workloads, compiled, snapshot)
+    except SimulationError:
+        if snapshot is None:
+            raise
+        checkpoint.discard(key)
+        session = _open_session(spec, workloads, compiled, None)
     if checkpoint is not None:
         session.run(
             checkpoint_every_refs=checkpoint.every_refs,
@@ -480,82 +471,59 @@ def execute_task(
     return strip_result(result)
 
 
-def _execute_multicore(
-    spec: TaskSpec,
-    checkpoint: CheckpointPolicy | None = None,
-    stream_cache_dir: str | None = None,
-) -> RunResult:
-    """Multi-core arm of :func:`execute_task` (see its docstring).
+def _compiled_or_none(workload, stream_cache_dir: str | None):
+    try:
+        return compiled_stream_for(workload, stream_cache_dir)
+    except StreamCompileError:
+        return None
 
-    Every core's workload is built with the task seed — co-runner
-    determinism comes from the spec, not from per-core seed plumbing.
-    Compiled streams are compiled per workload *unshifted* (so the
-    stream cache is shared with single-core runs of the same workload);
-    :meth:`MultiCoreSession.start` applies the per-core relocation.
-    """
+
+def _open_session(
+    spec: TaskSpec,
+    workloads: list,
+    compiled: list,
+    snapshot: SessionSnapshot | None,
+) -> SimulationSession | MultiCoreSession:
+    """The cell's session: restored from ``snapshot`` when one is given
+    (raising SimulationError when it does not fit), otherwise started."""
     mc = spec.sim.multicore
-    assert mc is not None
+    tool = spec.tool.build() if spec.tool is not None else None
+    if mc is None:
+        if snapshot is not None:
+            return SimulationSession.restore(
+                snapshot, workloads[0], compiled=compiled[0]
+            )
+        return spec.sim.build(spec.seed).start_session(
+            workloads[0],
+            tool=tool,
+            series_bucket_cycles=spec.series_bucket_cycles,
+            max_refs=spec.max_refs,
+            compiled=compiled[0],
+        )
     if spec.sim.prefetch_next_line:
         raise SimulationError(
             "multi-core sessions do not support prefetch_next_line; "
             "drop it from the SimSpec or run single-core"
         )
-    workloads = [
-        make_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
-    ]
-    for name, kwargs in zip(mc.co_runners, mc.co_runner_kwargs):
-        workloads.append(make_workload(name, seed=spec.seed, **kwargs))
-    compiled: list | None = None
-    if spec.sim.compile_streams:
-        compiled = []
-        for workload in workloads:
-            try:
-                compiled.append(compiled_stream_for(workload, stream_cache_dir))
-            except StreamCompileError:
-                compiled.append(None)
-    tool = spec.tool.build() if spec.tool is not None else None
-
-    session: MultiCoreSession | None = None
-    key = spec.key() if checkpoint is not None else None
-    if checkpoint is not None:
-        snapshot = checkpoint.load(key)
-        if snapshot is not None:
-            try:
-                session = MultiCoreSession.restore(
-                    snapshot, workloads, compiled=compiled
-                )
-            except SimulationError:
-                checkpoint.discard(key)
-                session = None
-    if session is None:
-        session = MultiCoreSession.start(
-            workloads,
-            llc_config=spec.sim.cache,
-            l1_config=spec.sim.l1,
-            backend=None,
-            seed=spec.seed,
-            n_region_counters=spec.sim.n_region_counters,
-            multiplexed_counters=spec.sim.multiplexed_counters,
-            cost_model=spec.sim.cost_model,
-            chunk_size=spec.sim.chunk_size,
-            series_bucket_cycles=spec.series_bucket_cycles,
-            max_refs=spec.max_refs,
-            ratios=mc.ratios,
-            compiled=compiled,
-        )
-        if tool is not None:
-            session.attach(tool)
-    if checkpoint is not None:
-        session.run(
-            checkpoint_every_refs=checkpoint.every_refs,
-            on_checkpoint=lambda snap: checkpoint.save(key, snap),
-        )
-    else:
-        session.run()
-    result = session.finalize()
-    if checkpoint is not None:
-        checkpoint.discard(key)
-    return strip_result(result)
+    if snapshot is not None:
+        return MultiCoreSession.restore(snapshot, workloads, compiled=compiled)
+    session = MultiCoreSession.start(
+        workloads,
+        llc_config=spec.sim.cache,
+        l1_config=spec.sim.l1,
+        backend=None,
+        seed=spec.seed,
+        n_region_counters=spec.sim.n_region_counters,
+        multiplexed_counters=spec.sim.multiplexed_counters,
+        cost_model=spec.sim.cost_model,
+        chunk_size=spec.sim.chunk_size,
+        series_bucket_cycles=spec.series_bucket_cycles,
+        max_refs=spec.max_refs,
+        ratios=mc.ratios,
+        compiled=compiled,
+    )
+    session.attach(tool)
+    return session
 
 
 def _timed_execute(

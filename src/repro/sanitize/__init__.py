@@ -18,7 +18,7 @@ checks the same invariants *dynamically* where it can't. Set
   immediately instead of diverging bits thousands of chunks later.
 * **Snapshot canary** (:mod:`repro.sanitize.snapshot`) — every
   :class:`~repro.sim.session.SessionSnapshot` is pickle-roundtripped
-  and field-compared before a checkpoint is trusted.
+  and field-compared, core by core, before a checkpoint is trusted.
 
 The gate is one module-level flag read from the environment at import
 time (this package is deliberately *outside* the RPL703 result scope:

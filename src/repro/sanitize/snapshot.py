@@ -6,11 +6,12 @@ whose ``__reduce__`` silently drops state produces a snapshot that
 is trusted (returned to the caller / written to disk), the canary
 roundtrips it once more and compares what must survive:
 
-* the scalar resume cursor (version, workload name, block cursor,
-  cycle carry, refs budget, chunk size);
-* the run statistics scalars;
-* the cache: ledger equality (``CacheStats`` compares field-wise) and
-  state cardinalities (resident and dirty line counts).
+* the snapshot's version and run label;
+* for every per-core record: the scalar resume cursor (core id, address
+  offset, workload name, block cursor, cycle carry, refs budget, chunk
+  size, interleaver weight, unattributed counts), the run statistics
+  scalars, and the cache — ledger equality (``CacheStats`` compares
+  field-wise) and state cardinalities (resident and dirty line counts).
 
 The comparisons are duck-typed — this module must not import
 :mod:`repro.sim` (the session calls *us* from its snapshot path).
@@ -24,15 +25,19 @@ from repro.sanitize import SanitizerError, count_check
 
 __all__ = ["snapshot_canary"]
 
-#: SessionSnapshot fields whose values are plain scalars (== is exact).
-_SCALAR_FIELDS = (
-    "version",
+#: CoreState fields whose values are plain scalars (== is exact).
+_CORE_SCALARS = (
+    "core_id",
+    "address_offset",
     "workload_name",
     "blocks_fetched",
     "block_pos",
     "cycle_carry",
     "refs_left",
     "chunk_size",
+    "ratio",
+    "unattributed_self",
+    "unattributed_contention",
 )
 
 _STATS_SCALARS = (
@@ -53,6 +58,14 @@ def _cache_fingerprint(cache: object) -> tuple[object, ...]:
     )
 
 
+def _compare(label: str, before: object, after: object) -> None:
+    if before != after:
+        raise SanitizerError(
+            f"snapshot {label} changed across a pickle roundtrip: "
+            f"{before!r} -> {after!r}"
+        )
+
+
 def snapshot_canary(snapshot: object) -> None:
     """Roundtrip ``snapshot`` through pickle and verify it survived."""
     count_check("snapshot.canary")
@@ -64,25 +77,23 @@ def snapshot_canary(snapshot: object) -> None:
         raise SanitizerError(
             f"snapshot does not survive a pickle roundtrip: {exc!r}"
         ) from exc
-    for name in _SCALAR_FIELDS:
-        before = getattr(snapshot, name)
-        after = getattr(clone, name)
-        if before != after:
-            raise SanitizerError(
-                f"snapshot field {name!r} changed across a pickle "
-                f"roundtrip: {before!r} -> {after!r}"
+    for name in ("version", "workload_name"):
+        _compare(f"field {name!r}", getattr(snapshot, name), getattr(clone, name))
+    _compare("core count", len(snapshot.cores), len(clone.cores))
+    for core, core_clone in zip(snapshot.cores, clone.cores):
+        label = f"core {core.core_id}:"
+        for name in _CORE_SCALARS:
+            _compare(
+                f"{label} {name}", getattr(core, name), getattr(core_clone, name)
             )
-    for name in _STATS_SCALARS:
-        before = getattr(snapshot.stats, name, None)
-        after = getattr(clone.stats, name, None)
-        if before != after:
-            raise SanitizerError(
-                f"snapshot stats.{name} changed across a pickle "
-                f"roundtrip: {before!r} -> {after!r}"
+        for name in _STATS_SCALARS:
+            _compare(
+                f"{label} stats.{name}",
+                getattr(core.stats, name, None),
+                getattr(core_clone.stats, name, None),
             )
-    if _cache_fingerprint(clone.cache) != _cache_fingerprint(snapshot.cache):
-        raise SanitizerError(
-            "snapshot cache state changed across a pickle roundtrip: "
-            f"{_cache_fingerprint(snapshot.cache)} -> "
-            f"{_cache_fingerprint(clone.cache)}"
+        _compare(
+            f"{label} cache state",
+            _cache_fingerprint(core.cache),
+            _cache_fingerprint(core_clone.cache),
         )

@@ -38,8 +38,8 @@ workload generators are deterministic functions of their seed, so
 :meth:`restore` rebuilds the workload and fast-forwards its block stream
 to the recorded cursor, replaying allocation/free side effects into the
 fresh object map. ``reprolint`` rule RPL501 cross-checks the snapshot
-payload against :class:`SessionSnapshot`'s fields so the two cannot
-drift apart silently.
+and per-core payloads against the :class:`SessionSnapshot` and
+:class:`CoreState` fields so they cannot drift apart silently.
 """
 
 from __future__ import annotations
@@ -83,7 +83,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: :class:`MultiCoreSession` snapshots (the shared LLC is pickled once
 #: through the per-core cache graphs; unpickling restores the shared
 #: identity). v3 checkpoints are refused by version.
-SNAPSHOT_VERSION = 4
+#: v5: one layout for every session — the payload is just ``version``,
+#: ``workload_name`` and ``cores``, and a single-core snapshot is one
+#: :class:`CoreState`. v4 checkpoints are refused by version.
+SNAPSHOT_VERSION = 5
 
 
 # ------------------------------------------------------------- dispatcher
@@ -163,14 +166,17 @@ class ToolDispatcher:
 
 @dataclass
 class CoreState:
-    """Per-core slice of a :class:`MultiCoreSession` snapshot.
+    """One core's slice of a :class:`SessionSnapshot`.
 
-    Field names deliberately mirror :class:`SessionSnapshot` where the
-    meaning matches, so :meth:`SimulationSession._resume` can rebuild a
-    per-core session from either record. ``cache`` is the core's
-    pipeline over the shared level; pickling every core's pipeline in
-    one :class:`SessionSnapshot` graph serialises the shared LLC leaf
-    exactly once and restores it as one shared object.
+    Everything needed to continue the core's run is here *except* its
+    reference stream: ``blocks_fetched``/``block_pos`` are the cursor
+    into the workload's deterministic block generator, which
+    :meth:`SimulationSession._resume` replays. The live objects (cache,
+    monitor, clock, ground truth, dispatcher with its tools) are pickled
+    as one graph so shared references — a tool context pointing at the
+    session's cache, or every core's pipeline ending in one shared LLC —
+    survive the round trip intact. A single-core session is one record
+    with ``ratio`` 1 and nothing attributed.
     """
 
     core_id: int
@@ -187,7 +193,7 @@ class CoreState:
     cache: CacheModel
     monitor: PerformanceMonitor
     ground_truth: GroundTruth | None
-    dispatcher: "ToolDispatcher | None"
+    dispatcher: ToolDispatcher | None
     #: Interleaver weight: chunks this core advances per round-robin turn.
     ratio: int
     #: Accumulated per-object contention attribution (qualified names).
@@ -199,36 +205,42 @@ class CoreState:
 
 @dataclass
 class SessionSnapshot:
-    """Serialized mid-run state of one :class:`SimulationSession`.
+    """Serialized mid-run state of a single- or multi-core session.
 
-    Everything needed to continue the run is here *except* the reference
-    stream: ``blocks_fetched``/``block_pos`` are the cursor into the
-    workload's deterministic block generator, which :meth:`SimulationSession.restore`
-    replays. The live objects (cache, monitor, clock, ground truth,
-    dispatcher with its tools) are pickled as one graph so shared
-    references — e.g. a tool context pointing at the session's cache —
-    survive the round trip intact.
+    ``cores`` holds one :class:`CoreState` per core, the next core to
+    run first (the round-robin pointer is schedule state). Whether the
+    snapshot is multi-core is read from the restored cache graph: the
+    core pipelines of a :class:`MultiCoreSession` end in a
+    :class:`~repro.cache.components.SharedLevelPort`.
     """
 
     version: int
+    #: The run's label: the workload name, or ``mc(a+b)`` for N cores.
     workload_name: str
-    blocks_fetched: int
-    block_pos: int | None
-    cycle_carry: float
-    refs_left: int | None
-    chunk_size: int
-    cost_model: CostModel
-    clock: VirtualClock
-    stats: RunStats
-    cache: CacheModel
-    monitor: PerformanceMonitor
-    ground_truth: GroundTruth | None
-    dispatcher: ToolDispatcher | None
-    #: Per-core state for multi-core snapshots; None for single-core
-    #: sessions. When set, the top-level fields hold core 0's objects
-    #: (so the payload stays uniformly typed) and restore goes through
-    #: :meth:`MultiCoreSession.restore`, which reads only this list.
-    cores: "list[CoreState] | None" = None
+    cores: list[CoreState]
+
+    @staticmethod
+    def detached(workload_name: str, cores: list[CoreState]) -> "SessionSnapshot":
+        """A snapshot of ``cores`` that no live session can mutate.
+
+        The pickle round trip detaches it, so the session can keep
+        running; RPL501 guards this payload and the :class:`CoreState`
+        one against drifting from their dataclasses.
+        """
+        payload = {
+            "version": SNAPSHOT_VERSION,
+            "workload_name": workload_name,
+            "cores": cores,
+        }
+        snap = SessionSnapshot(**payload)
+        detached: SessionSnapshot = pickle.loads(
+            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        if sanitize.is_active():
+            # Canary before anyone trusts this snapshot: a second
+            # roundtrip must preserve cursors, stats and cache state.
+            sanitize.snapshot_canary(detached)
+        return detached
 
     # ------------------------------------------------------------ storage
 
@@ -248,9 +260,24 @@ class SessionSnapshot:
 
     @staticmethod
     def load(path: str | os.PathLike[str]) -> "SessionSnapshot":
-        """Read a snapshot back; raises SimulationError on bad contents."""
+        """Read a snapshot back; raises SimulationError on bad contents
+        (truncated, empty, not a pickle, wrong type or version)."""
         with Path(path).open("rb") as fh:
-            loaded = pickle.load(fh)
+            try:
+                loaded = pickle.load(fh)
+            except (
+                # What pickle raises on malformed input (see its docs).
+                pickle.UnpicklingError,
+                EOFError,
+                AttributeError,
+                ImportError,
+                IndexError,
+                ValueError,
+                TypeError,
+            ) as exc:
+                raise SimulationError(
+                    f"{path} is not a readable snapshot: {exc!r}"
+                ) from exc
         if not isinstance(loaded, SessionSnapshot):
             raise SimulationError(f"{path} does not contain a SessionSnapshot")
         if loaded.version != SNAPSHOT_VERSION:
@@ -290,10 +317,14 @@ class SimulationSession:
         #: :class:`MultiCoreSession`.
         self.core_id = core_id
         #: The core's :class:`~repro.cache.components.SharedLevelPort`
-        #: when this session is one core of a multi-core run (set by
-        #: :class:`MultiCoreSession`); used to surface per-chunk
-        #: contention counts on :class:`ChunkEvent`.
-        self._shared_port = None
+        #: when this session is one core of a multi-core run (its cache
+        #: pipeline ends in one); used to surface per-chunk contention
+        #: counts on :class:`ChunkEvent` and to refuse lone snapshots.
+        self._shared_port = _shared_port(cache)
+        if self._shared_port is not None:
+            # Qualify object names by core, so per-object tallies from
+            # different cores never collide.
+            workload.object_map.namespace = f"c{core_id}"
         self.monitor = monitor
         self.clock = clock if clock is not None else VirtualClock()
         self.stats = stats if stats is not None else RunStats()
@@ -434,7 +465,7 @@ class SimulationSession:
             idx = self.dispatcher.add(tool)
             tool.ctx = self._shared_ctx
             init = tool.attach(self._shared_ctx)
-            self._apply_handler_result(idx, init, account=False)
+            self._apply_handler_result(idx, init)
 
     def add_observer(self, observer: SessionObserver) -> None:
         self.observers.append(observer)
@@ -512,20 +543,13 @@ class SimulationSession:
         ):
             self._run_fused()
             return True
-        steps = 0
-        next_ckpt = (
-            self.stats.app_refs + checkpoint_every_refs
-            if checkpoint_every_refs
-            else None
+        return _run_steps(
+            self,
+            lambda: self.stats.app_refs,
+            max_steps,
+            checkpoint_every_refs,
+            on_checkpoint,
         )
-        while max_steps is None or steps < max_steps:
-            if not self.step():
-                return True
-            steps += 1
-            if next_ckpt is not None and self.stats.app_refs >= next_ckpt:
-                on_checkpoint(self.snapshot())
-                next_ckpt = self.stats.app_refs + checkpoint_every_refs
-        return self.finished
 
     # ----------------------------------------------------------- fused path
 
@@ -755,15 +779,9 @@ class SimulationSession:
             for observer in self.observers:
                 observer.on_interrupt(event)
 
-    def _apply_handler_result(
-        self, idx: int, result: HandlerResult, account: bool = True
-    ) -> None:
-        """Run handler memory refs through the cache and apply arming.
-
-        ``account=False`` is the attach path: arming requests apply but
-        no interrupt is recorded (nothing was delivered yet).
-        """
-        del account  # both paths apply identically; kept for call-site intent
+    def _apply_handler_result(self, idx: int, result: HandlerResult) -> None:
+        """Run handler memory refs through the cache and apply arming
+        (after a delivery, and for each tool's ``attach`` requests)."""
         dispatcher = self.dispatcher
         assert dispatcher is not None
         if result.mem_refs is not None and len(result.mem_refs):
@@ -846,12 +864,8 @@ class SimulationSession:
     # ------------------------------------------------------------- snapshot
 
     def snapshot(self) -> SessionSnapshot:
-        """Serialisable copy of the complete mid-run state.
-
-        The returned snapshot is detached (pickle round-trip), so the
-        live session can keep running without mutating it. RPL501
-        guards this payload against drifting from the dataclass.
-        """
+        """Serialisable copy of the complete mid-run state: a detached
+        one-core :class:`SessionSnapshot`."""
         if self._finalized:
             raise SimulationError("cannot snapshot a finalized session")
         if self._exhausted:
@@ -862,8 +876,23 @@ class SimulationSession:
                 "the MultiCoreSession instead (its payload serialises the "
                 "shared LLC exactly once)"
             )
+        return SessionSnapshot.detached(
+            self.workload.name, [self._core_state(CoreContext(self))]
+        )
+
+    def _core_state(self, core: "CoreContext") -> CoreState:
+        """This session's :class:`CoreState`, with the interleaver weight
+        and contention attribution ``core`` has accumulated. The one
+        place a core's state is recorded; RPL501 guards this payload
+        against drifting from the dataclass.
+
+        An exhausted core needs no extra state: its cursor already sits
+        past its last block, so the resumed core's next step finds its
+        stream ended and finishes exactly as the live one did.
+        """
         payload = {
-            "version": SNAPSHOT_VERSION,
+            "core_id": self.core_id,
+            "address_offset": self.workload.address_offset,
             "workload_name": self.workload.name,
             "blocks_fetched": self._blocks_fetched,
             "block_pos": self._pos if self._block is not None else None,
@@ -877,17 +906,13 @@ class SimulationSession:
             "monitor": self.monitor,
             "ground_truth": self.ground_truth,
             "dispatcher": self.dispatcher,
-            "cores": None,
+            "ratio": core.ratio,
+            "self_by_object": dict(core.self_by_object),
+            "contention_by_object": dict(core.contention_by_object),
+            "unattributed_self": core.unattributed_self,
+            "unattributed_contention": core.unattributed_contention,
         }
-        snap = SessionSnapshot(**payload)
-        detached: SessionSnapshot = pickle.loads(
-            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        if sanitize.is_active():
-            # Canary before anyone trusts this snapshot: a second
-            # roundtrip must preserve cursor, stats and cache state.
-            sanitize.snapshot_canary(detached)
-        return detached
+        return CoreState(**payload)
 
     @classmethod
     def restore(
@@ -912,42 +937,38 @@ class SimulationSession:
         do not record which stream source produced them: the two are
         bit-identical, so either may resume the other.
         """
-        if not isinstance(snapshot, SessionSnapshot):
-            snapshot = SessionSnapshot.load(snapshot)
-        if snapshot.cores is not None:
-            raise SimulationError(
-                "snapshot holds a multi-core session; restore it with "
-                "MultiCoreSession.restore"
-            )
-        return cls._resume(
-            snapshot, workload, observers=observers, compiled=compiled
+        [core] = _restore_cores(
+            snapshot, [workload], observers, [compiled], multicore=False
         )
+        return core.session
 
     @classmethod
     def _resume(
         cls,
-        state: "SessionSnapshot | CoreState",
+        state: CoreState,
         workload: "Workload",
         observers: Sequence[SessionObserver] = (),
         compiled: "CompiledStream | None" = None,
-        core_id: int = 0,
     ) -> "SimulationSession":
-        """Rebuild one running session from a state record.
+        """Rebuild one core's running session from its state record.
 
-        The shared machinery behind :meth:`restore` (single-core, from a
-        :class:`SessionSnapshot`) and :meth:`MultiCoreSession.restore`
-        (per core, from a :class:`CoreState` — same field names where
-        the meaning matches).
+        ``compiled`` is the *unshifted* compilation; the core's address
+        relocation is reapplied here, as :meth:`MultiCoreSession.start`
+        applies it.
         """
+        from repro.workloads.compile import offset_stream
+
         if workload.name != state.workload_name:
             raise SimulationError(
                 f"snapshot is for workload {state.workload_name!r}, "
                 f"got {workload.name!r}"
             )
+        workload.address_offset = state.address_offset
         if workload.consumed:
             workload.reset()
         workload.prepare()
         if compiled is not None:
+            compiled = offset_stream(compiled, state.address_offset)
             cls._check_compiled(workload, compiled)
 
         session = cls(
@@ -960,12 +981,11 @@ class SimulationSession:
             chunk_size=state.chunk_size,
             ground_truth=state.ground_truth,
             observers=observers,
-            core_id=core_id,
+            core_id=state.core_id,
         )
-        snapshot = state
-        session.dispatcher = snapshot.dispatcher
-        session._cycle_carry = snapshot.cycle_carry
-        session._refs_left = snapshot.refs_left
+        session.dispatcher = state.dispatcher
+        session._cycle_carry = state.cycle_carry
+        session._refs_left = state.refs_left
 
         if compiled is not None:
             session._compiled = compiled
@@ -973,7 +993,7 @@ class SimulationSession:
         else:
             blocks = workload.blocks()
         block = None
-        for _ in range(snapshot.blocks_fetched):
+        for _ in range(state.blocks_fetched):
             try:
                 block = next(blocks)
             except StopIteration:
@@ -982,10 +1002,10 @@ class SimulationSession:
                     "workload parameters differ from the snapshotted run"
                 ) from None
         session._blocks = blocks
-        session._blocks_fetched = snapshot.blocks_fetched
-        if snapshot.block_pos is not None:
+        session._blocks_fetched = state.blocks_fetched
+        if state.block_pos is not None:
             session._block = block
-            session._pos = snapshot.block_pos
+            session._pos = state.block_pos
 
         # Re-bind attribution and tool contexts to the regenerated live
         # substrate (the pickled copies froze at snapshot time and would
@@ -1018,6 +1038,111 @@ class SimulationSession:
         return session
 
 
+# --------------------------------------------------------- shared lifecycle
+
+def _shared_port(cache: CacheModel):
+    """The :class:`~repro.cache.components.SharedLevelPort` a multi-core
+    core's pipeline ends in, or None for a single-core cache."""
+    from repro.cache.components import SharedLevelPort
+
+    levels = getattr(cache, "levels", None)
+    last = levels[-1] if levels else None
+    return last if isinstance(last, SharedLevelPort) else None
+
+
+def _run_steps(
+    session: "SimulationSession | MultiCoreSession",
+    app_refs,
+    max_steps: int | None,
+    checkpoint_every_refs: int | None,
+    on_checkpoint,
+) -> bool:
+    """The stepped run loop and checkpoint cadence of both session kinds.
+
+    Steps ``session`` until done (or for ``max_steps`` units), calling
+    ``on_checkpoint(session.snapshot())`` each time ``app_refs()`` has
+    grown by another ``checkpoint_every_refs``. Returns True when the
+    run is complete.
+    """
+    next_ckpt = None
+    if checkpoint_every_refs is not None:
+        if checkpoint_every_refs <= 0:
+            raise SimulationError("checkpoint_every_refs must be positive")
+        if on_checkpoint is None:
+            raise SimulationError(
+                "checkpoint_every_refs needs an on_checkpoint callback"
+            )
+        next_ckpt = app_refs() + checkpoint_every_refs
+    step = session.step
+    steps = 0
+    while max_steps is None or steps < max_steps:
+        if not step():
+            return True
+        steps += 1
+        if next_ckpt is not None and app_refs() >= next_ckpt:
+            on_checkpoint(session.snapshot())
+            next_ckpt = app_refs() + checkpoint_every_refs
+    return session.finished
+
+
+def _restore_cores(
+    snapshot: "SessionSnapshot | str | os.PathLike[str]",
+    workloads: "Sequence[Workload]",
+    observers: Sequence[SessionObserver],
+    compiled: "Sequence[CompiledStream | None] | None",
+    *,
+    multicore: bool,
+) -> "list[CoreContext]":
+    """Resume every core of ``snapshot``, next-to-run first.
+
+    The one resume path behind both ``restore`` methods, which differ
+    only in how many cores they accept and whether the restored core
+    pipelines must end in a shared port. ``workloads`` and ``compiled``
+    are in core-id order; the snapshot's ``cores`` list is rotated to
+    encode the scheduler pointer, so the two are matched by core id.
+    """
+    if not isinstance(snapshot, SessionSnapshot):
+        snapshot = SessionSnapshot.load(snapshot)
+    states = snapshot.cores
+    shared = [_shared_port(state.cache) is not None for state in states]
+    if multicore and not (shared and all(shared)):
+        raise SimulationError(
+            "snapshot holds a single-core session; restore it with "
+            "SimulationSession.restore"
+        )
+    if not multicore and shared != [False]:
+        raise SimulationError(
+            "snapshot holds a multi-core session; restore it with "
+            "MultiCoreSession.restore"
+        )
+    workloads = list(workloads)
+    compiled_list = [None] * len(states) if compiled is None else list(compiled)
+    if len(workloads) != len(states) or len(compiled_list) != len(states):
+        raise SimulationError(
+            f"snapshot has {len(states)} cores but {len(workloads)} "
+            f"workloads and {len(compiled_list)} compiled streams were supplied"
+        )
+    ids = sorted(state.core_id for state in states)
+    if ids != list(range(len(states))):
+        raise SimulationError(f"snapshot core ids {ids} are not contiguous")
+    return [
+        CoreContext(
+            SimulationSession._resume(
+                state,
+                workloads[state.core_id],
+                observers=observers,
+                compiled=compiled_list[state.core_id],
+            ),
+            ratio=state.ratio,
+            self_by_object=dict(state.self_by_object),
+            contention_by_object=dict(state.contention_by_object),
+            unattributed_self=state.unattributed_self,
+            unattributed_contention=state.unattributed_contention,
+        )
+        for state in states
+    ]
+
+
 # ------------------------------------------------------------- multi-core
 
 @dataclass
@@ -1033,14 +1158,9 @@ class CoreContext:
     accumulated so far.
     """
 
-    core_id: int
-    workload: "Workload"
     session: SimulationSession
-    #: The core's port into the shared LLC (``session.cache.levels[-1]``).
-    port: object
     #: Interleaver weight: chunks this core advances per round-robin turn.
     ratio: int = 1
-    compiled: "CompiledStream | None" = None
     #: Shared-level misses attributed per object (namespace-qualified
     #: names, e.g. ``"c0:field"``), split by classification.
     self_by_object: dict[str, int] = field(default_factory=dict)
@@ -1049,6 +1169,12 @@ class CoreContext:
     #: heap blocks) — kept so the per-core sums stay conserved.
     unattributed_self: int = 0
     unattributed_contention: int = 0
+
+    def __post_init__(self) -> None:
+        self.core_id = self.session.core_id
+        self.workload = self.session.workload
+        #: The core's port into the shared LLC (``session.cache.levels[-1]``).
+        self.port = self.session._shared_port
 
 
 class MultiCoreSession:
@@ -1076,20 +1202,11 @@ class MultiCoreSession:
     pins this; see DESIGN.md section 13).
     """
 
-    def __init__(
-        self,
-        cores: list[CoreContext],
-        shared_level,
-        *,
-        chunk_size: int,
-        cost_model: CostModel,
-    ) -> None:
+    def __init__(self, cores: list[CoreContext], shared_level) -> None:
         if not cores:
             raise SimulationError("MultiCoreSession needs at least one core")
         self.cores = cores
         self.shared_level = shared_level
-        self.chunk_size = chunk_size
-        self.cost_model = cost_model
         self._next = 0
         self._finalized = False
 
@@ -1137,8 +1254,6 @@ class MultiCoreSession:
         from repro.workloads.compile import offset_stream
 
         workloads = list(workloads)
-        if not workloads:
-            raise SimulationError("MultiCoreSession needs at least one workload")
         for cfg in (llc_config, l1_config):
             if cfg is not None and cfg.mechanisms:
                 raise CacheConfigError(
@@ -1156,15 +1271,12 @@ class MultiCoreSession:
             )
         if any(r < 1 for r in ratios):
             raise SimulationError(f"ratios must be >= 1, got {ratios}")
-        if compiled is None:
-            compiled_list: list["CompiledStream | None"] = [None] * len(workloads)
-        else:
-            compiled_list = list(compiled)
-            if len(compiled_list) != len(workloads):
-                raise SimulationError(
-                    f"{len(workloads)} workloads but {len(compiled_list)} "
-                    "compiled streams"
-                )
+        compiled_list = [None] * len(workloads) if compiled is None else list(compiled)
+        if len(compiled_list) != len(workloads):
+            raise SimulationError(
+                f"{len(workloads)} workloads but {len(compiled_list)} "
+                "compiled streams"
+            )
         cost = cost_model if cost_model is not None else CostModel()
 
         shared = make_shared_level(llc_config, backend=backend, seed=seed)
@@ -1199,20 +1311,8 @@ class MultiCoreSession:
                 compiled=stream,
                 core_id=core_id,
             )
-            port = pipeline.levels[-1]
-            session._shared_port = port
-            workload.object_map.namespace = f"c{core_id}"
-            cores.append(
-                CoreContext(
-                    core_id=core_id,
-                    workload=workload,
-                    session=session,
-                    port=port,
-                    ratio=ratios[core_id],
-                    compiled=stream,
-                )
-            )
-        return cls(cores, shared, chunk_size=chunk_size, cost_model=cost)
+            cores.append(CoreContext(session, ratio=ratios[core_id]))
+        return cls(cores, shared)
 
     # -------------------------------------------------------------- running
 
@@ -1261,28 +1361,21 @@ class MultiCoreSession:
         max_steps: int | None = None,
         checkpoint_every_refs: int | None = None,
         on_checkpoint=None,
-    ) -> None:
-        """Drive :meth:`step` until every core finishes.
+    ) -> bool:
+        """Drive :meth:`step` until every core finishes (or for
+        ``max_steps`` turns); True when the run is complete.
 
         ``checkpoint_every_refs`` invokes ``on_checkpoint(snapshot)``
-        each time the *combined* reference count crosses another
-        multiple, mirroring the single-core run loop's cadence.
+        each time the *combined* reference count grows by that many,
+        under the single-core run loop's cadence and validation.
         """
-        next_checkpoint: int | None = None
-        if checkpoint_every_refs is not None:
-            if checkpoint_every_refs <= 0:
-                raise SimulationError("checkpoint_every_refs must be positive")
-            next_checkpoint = self.total_app_refs() + checkpoint_every_refs
-        steps = 0
-        while self.step():
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                return
-            if next_checkpoint is not None and on_checkpoint is not None:
-                total = self.total_app_refs()
-                if total >= next_checkpoint:
-                    on_checkpoint(self.snapshot())
-                    next_checkpoint = total + checkpoint_every_refs
+        return _run_steps(
+            self,
+            self.total_app_refs,
+            max_steps,
+            checkpoint_every_refs,
+            on_checkpoint,
+        )
 
     # ---------------------------------------------------------- attribution
 
@@ -1422,83 +1515,22 @@ class MultiCoreSession:
 
         One :class:`SessionSnapshot` whose ``cores`` list carries a
         :class:`CoreState` per core, rotated so the next core to run
-        comes first (the round-robin pointer is schedule state); the
-        top-level fields hold that core's objects so the payload stays
-        uniformly typed (and RPL501 keeps pinning it). Pickling
-        everything as one graph serialises the shared LLC leaf exactly
-        once — unpickling rebuilds it as one object every port
+        comes first (the round-robin pointer is schedule state).
+        Pickling everything as one graph serialises the shared LLC leaf
+        exactly once — unpickling rebuilds it as one object every port
         references, preserving the shared identity.
         """
         if self._finalized:
             raise SimulationError("cannot snapshot a finalized session")
         for core in self.cores:
-            if core.session._exhausted:
-                raise SimulationError(
-                    f"cannot snapshot: core {core.core_id} "
-                    f"({core.workload.name}) already exhausted its stream"
-                )
             # Classified addresses still pending attribution would be
             # lost by a snapshot (the arrays are drained, not pickled);
             # fold them into the per-object tallies first.
             self._attribute(core)
-        core_states = [
-            CoreState(
-                core_id=core.core_id,
-                address_offset=core.workload.address_offset,
-                workload_name=core.workload.name,
-                blocks_fetched=core.session._blocks_fetched,
-                block_pos=(
-                    core.session._pos
-                    if core.session._block is not None
-                    else None
-                ),
-                cycle_carry=core.session._cycle_carry,
-                refs_left=core.session._refs_left,
-                chunk_size=core.session.chunk_size,
-                cost_model=core.session.cost_model,
-                clock=core.session.clock,
-                stats=core.session.stats,
-                cache=core.session.cache,
-                monitor=core.session.monitor,
-                ground_truth=core.session.ground_truth,
-                dispatcher=core.session.dispatcher,
-                ratio=core.ratio,
-                self_by_object=dict(core.self_by_object),
-                contention_by_object=dict(core.contention_by_object),
-                unattributed_self=core.unattributed_self,
-                unattributed_contention=core.unattributed_contention,
-            )
-            for core in (
-                self.cores[self._next :] + self.cores[: self._next]
-            )
-        ]
-        first = self.cores[self._next]
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "workload_name": self.name,
-            "blocks_fetched": first.session._blocks_fetched,
-            "block_pos": (
-                first.session._pos if first.session._block is not None else None
-            ),
-            "cycle_carry": first.session._cycle_carry,
-            "refs_left": first.session._refs_left,
-            "chunk_size": self.chunk_size,
-            "cost_model": self.cost_model,
-            "clock": first.session.clock,
-            "stats": first.session.stats,
-            "cache": first.session.cache,
-            "monitor": first.session.monitor,
-            "ground_truth": first.session.ground_truth,
-            "dispatcher": first.session.dispatcher,
-            "cores": core_states,
-        }
-        snap = SessionSnapshot(**payload)
-        detached: SessionSnapshot = pickle.loads(
-            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
+        order = self.cores[self._next :] + self.cores[: self._next]
+        return SessionSnapshot.detached(
+            self.name, [core.session._core_state(core) for core in order]
         )
-        if sanitize.is_active():
-            sanitize.snapshot_canary(detached)
-        return detached
 
     @classmethod
     def restore(
@@ -1513,86 +1545,20 @@ class MultiCoreSession:
         ``workloads`` must be equivalent instances (same construction
         parameters) of the snapshotted co-runners, in core order.
         ``compiled`` streams, when given, are again the *unshifted*
-        compilations; per-core relocation is reapplied here. The round-
-        robin pointer is part of the schedule state: the snapshot's
-        ``cores`` list is stored in *next-to-run-first* order, so
-        restart order matches the interrupted schedule exactly.
+        compilations; per-core relocation is reapplied on resume. The
+        interleaver restarts at the snapshot's first core, so restart
+        order matches the interrupted schedule exactly.
         """
-        from repro.workloads.compile import offset_stream
-
-        if not isinstance(snapshot, SessionSnapshot):
-            snapshot = SessionSnapshot.load(snapshot)
-        if snapshot.cores is None:
-            raise SimulationError(
-                "snapshot holds a single-core session; restore it with "
-                "SimulationSession.restore"
-            )
-        states = snapshot.cores
-        workloads = list(workloads)
-        if len(workloads) != len(states):
-            raise SimulationError(
-                f"snapshot has {len(states)} cores but {len(workloads)} "
-                "workloads were supplied"
-            )
-        if compiled is None:
-            compiled_list: list["CompiledStream | None"] = [None] * len(states)
-        else:
-            compiled_list = list(compiled)
-            if len(compiled_list) != len(states):
-                raise SimulationError(
-                    f"snapshot has {len(states)} cores but "
-                    f"{len(compiled_list)} compiled streams were supplied"
-                )
-        # The pickled states list is rotated to encode the scheduler
-        # pointer; the caller's workloads/compiled lists are in core_id
-        # order. Match them up by core_id.
-        if sorted(s.core_id for s in states) != list(range(len(states))):
-            raise SimulationError(
-                f"snapshot core ids {sorted(s.core_id for s in states)} "
-                "are not contiguous"
-            )
-        cores: list[CoreContext] = [None] * len(states)  # type: ignore[list-item]
-        shared = None
-        for state in sorted(states, key=lambda s: s.core_id):
-            workload = workloads[state.core_id]
-            workload.address_offset = state.address_offset
-            stream = compiled_list[state.core_id]
-            if stream is not None:
-                stream = offset_stream(stream, state.address_offset)
-            session = SimulationSession._resume(
-                state,
-                workload,
-                observers=observers,
-                compiled=stream,
-                core_id=state.core_id,
-            )
-            port = session.cache.levels[-1]
-            session._shared_port = port
-            workload.object_map.namespace = f"c{state.core_id}"
-            if shared is None:
-                shared = port.shared_level
-            elif port.shared_level is not shared:
-                raise SimulationError(
-                    "restored cores do not share one LLC; the snapshot "
-                    "graph lost the shared identity"
-                )
-            cores[state.core_id] = CoreContext(
-                core_id=state.core_id,
-                workload=workload,
-                session=session,
-                port=port,
-                ratio=state.ratio,
-                compiled=stream,
-                self_by_object=dict(state.self_by_object),
-                contention_by_object=dict(state.contention_by_object),
-                unattributed_self=state.unattributed_self,
-                unattributed_contention=state.unattributed_contention,
-            )
-        restored = cls(
-            cores,
-            shared,
-            chunk_size=snapshot.chunk_size,
-            cost_model=snapshot.cost_model,
+        resumed = _restore_cores(
+            snapshot, workloads, observers, compiled, multicore=True
         )
-        restored._next = states[0].core_id
+        first = resumed[0]
+        shared = first.port.shared_level
+        if any(core.port.shared_level is not shared for core in resumed):
+            raise SimulationError(
+                "restored cores do not share one LLC; the snapshot "
+                "graph lost the shared identity"
+            )
+        restored = cls(sorted(resumed, key=lambda core: core.core_id), shared)
+        restored._next = first.core_id
         return restored

@@ -158,7 +158,7 @@ class TestExecuteTaskResume:
         leave_partial_checkpoint(policy, spec)
         path = policy.path_for(spec.key())
         payload = pickle.loads(path.read_bytes())
-        payload["snapshot"].blocks_fetched = 10**9
+        payload["snapshot"].cores[0].blocks_fetched = 10**9
         path.write_bytes(pickle.dumps(payload))
         result = execute_task(spec, policy)
         assert fingerprint(result) == fingerprint(execute_task(spec))

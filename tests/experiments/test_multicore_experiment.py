@@ -110,6 +110,22 @@ class TestExecuteTask:
             assert a.stats == b.stats
             assert a.contention.self_by_object == b.contention.self_by_object
 
+    def test_checkpoint_cadence_outliving_a_co_runner(self, runner, tmp_path):
+        """Checkpoints keep landing after the shorter co-runner's stream
+        ended; checkpointing all the way must not change the result."""
+        from repro.experiments.parallel import CheckpointPolicy
+
+        spec = multicore_task(runner, ["compress", "ijpeg"])
+        checkpointed = execute_task(
+            spec, checkpoint=CheckpointPolicy(root=tmp_path, every_refs=50_000)
+        )
+        golden = execute_task(spec)
+        assert checkpointed.stats == golden.stats
+        for a, b in zip(checkpointed.cores, golden.cores):
+            assert a.stats == b.stats
+            assert a.contention.self_by_object == b.contention.self_by_object
+        assert not list(tmp_path.glob("*.ckpt"))
+
 
 class TestDriver:
     def test_quick_report_shape(self, runner):

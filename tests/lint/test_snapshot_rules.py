@@ -45,6 +45,17 @@ class TestFixtures:
         assert Counter(v.code for v in violations) == {"RPL501": 1}
         assert any("'cores'" in v.message for v in violations)
 
+    def test_v5_core_state_shape_clean(self):
+        assert counts(FIXTURES / "snapshot_v5_good.py") == {}
+
+    def test_v5_core_state_field_missing_from_payload_flagged(self):
+        violations = run_lint([FIXTURES / "snapshot_v5_bad.py"])
+        assert Counter(v.code for v in violations) == {"RPL501": 1}
+        assert any(
+            "CoreState" in v.message and "'ratio'" in v.message
+            for v in violations
+        )
+
 
 class TestDriftRegression:
     def test_removing_a_field_from_the_real_payload_fails_lint(self, tmp_path):

@@ -26,7 +26,7 @@ from repro.sanitize.ledger import check_component, check_stats
 from repro.sanitize.rng import verify_cache_rng, verify_kernel_rng
 from repro.sanitize.snapshot import snapshot_canary
 from repro.sim.engine import Simulator
-from repro.sim.session import SimulationSession
+from repro.sim.session import MultiCoreSession, SimulationSession
 from repro.workloads.synthetic import SyntheticStreams
 
 CFG = CacheConfig(size=4096, line_size=64, assoc=2)
@@ -198,8 +198,28 @@ class TestSnapshotCanary:
 
     def test_lossy_scalar_fires(self):
         snap = self._session().snapshot()
-        snap.blocks_fetched = _DriftingInt(snap.blocks_fetched)
+        snap.cores[0].blocks_fetched = _DriftingInt(snap.cores[0].blocks_fetched)
         with pytest.raises(SanitizerError, match="blocks_fetched"):
+            snapshot_canary(snap)
+
+    def test_lossy_scalar_on_a_later_core_fires(self):
+        workloads = [
+            SyntheticStreams(
+                {"A": (64 * 1024, 100)}, rounds=2, lines_per_round=1500, seed=3
+            )
+            for _ in range(2)
+        ]
+        session = MultiCoreSession.start(
+            workloads, llc_config=CacheConfig(size=16 * 1024, assoc=2), seed=5
+        )
+        session.step()
+        session.step()  # one turn each: core 0 runs next, core 1 is second
+        snap = session.snapshot()
+        snapshot_canary(snap)
+        assert [core.core_id for core in snap.cores] == [0, 1]
+        core1 = snap.cores[1]
+        core1.blocks_fetched = _DriftingInt(core1.blocks_fetched)
+        with pytest.raises(SanitizerError, match="core 1: blocks_fetched"):
             snapshot_canary(snap)
 
     def test_unpicklable_snapshot_fires(self):

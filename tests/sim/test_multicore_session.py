@@ -184,6 +184,43 @@ class TestSnapshotRestore:
                 == b.contention.contention_by_object
             )
 
+    def test_resume_after_one_core_finished_is_bit_identical(
+        self, tmp_path, quick_runner
+    ):
+        """A checkpoint can land after one co-runner's stream ended and
+        before the other's did; the finished core must resume finished."""
+
+        def workloads():
+            return [
+                quick_workload("compress", quick_runner),
+                quick_workload("ijpeg", quick_runner),
+            ]
+
+        golden = run_multi(workloads())
+
+        session = MultiCoreSession.start(
+            workloads(), llc_config=LLC, l1_config=L1, seed=SEED
+        )
+        while not any(core.session.finished for core in session.cores):
+            assert session.step()
+        assert not session.finished
+        path = tmp_path / "mc.snap"
+        session.snapshot().save(path)
+        restored = MultiCoreSession.restore(path, workloads())
+        restored.run()
+        resumed = restored.finalize()
+
+        assert resumed.stats == golden.stats
+        assert resumed.cache_stats == golden.cache_stats
+        for a, b in zip(resumed.cores, golden.cores):
+            assert a.stats == b.stats
+            assert a.actual.table() == b.actual.table()
+            assert a.contention.self_by_object == b.contention.self_by_object
+            assert (
+                a.contention.contention_by_object
+                == b.contention.contention_by_object
+            )
+
     def test_single_core_restore_refuses_multicore_snapshots(self, quick_runner):
         session = MultiCoreSession.start(
             [
@@ -197,7 +234,7 @@ class TestSnapshotRestore:
         for _ in range(8):
             session.step()
         snap = session.snapshot()
-        assert snap.version == 4
+        assert snap.version == 5
         assert len(snap.cores) == 2
         with pytest.raises(SimulationError, match="multi-core"):
             SimulationSession.restore(snap, quick_workload("compress", quick_runner))
@@ -208,7 +245,7 @@ class TestSnapshotRestore:
         for _ in range(4):
             session.step()
         snap = session.snapshot()
-        assert snap.cores is None
+        assert len(snap.cores) == 1
         with pytest.raises(SimulationError, match="SimulationSession.restore"):
             MultiCoreSession.restore(
                 snap, [quick_workload("compress", quick_runner)]

@@ -18,7 +18,12 @@ from repro.core.search import NWaySearch
 from repro.errors import CounterError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.instrumentation import HandlerResult, InstrumentationTool
-from repro.sim.session import SNAPSHOT_VERSION, SessionSnapshot, SimulationSession
+from repro.sim.session import (
+    SNAPSHOT_VERSION,
+    MultiCoreSession,
+    SessionSnapshot,
+    SimulationSession,
+)
 from repro.workloads.synthetic import SyntheticStreams, TreeChaser
 
 CFG = CacheConfig(size=64 * 1024, assoc=2)
@@ -319,6 +324,64 @@ class TestSnapshotRestore:
             pass
         with pytest.raises(SimulationError):
             session.snapshot()
+
+
+class TestSnapshotLoadErrors:
+    """Hostile snapshot files fail with a typed error naming the file."""
+
+    def _saved(self, tmp_path):
+        session = make_sim().start_session(make_workload())
+        session.step()
+        return session.snapshot().save(tmp_path / "x.snap")
+
+    def test_truncated_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(SimulationError, match="x.snap"):
+            SessionSnapshot.load(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.snap"
+        path.write_bytes(b"")
+        with pytest.raises(SimulationError, match="x.snap"):
+            SessionSnapshot.load(path)
+
+    def test_not_a_pickle(self, tmp_path):
+        path = tmp_path / "x.snap"
+        path.write_bytes(b"not a pickle at all")
+        with pytest.raises(SimulationError, match="x.snap"):
+            SessionSnapshot.load(path)
+
+    def test_v4_file_refused_by_version(self, tmp_path):
+        """A v4 file (per-core fields at top level, ``cores`` None)
+        still unpickles, and is refused by its version stamp."""
+        old = object.__new__(SessionSnapshot)
+        old.__dict__.update(
+            version=4, workload_name="streams", blocks_fetched=1, cores=None
+        )
+        path = tmp_path / "v4.snap"
+        path.write_bytes(pickle.dumps(old))
+        with pytest.raises(SimulationError, match="version 4"):
+            SessionSnapshot.load(path)
+
+
+class TestCheckpointCadence:
+    @pytest.mark.parametrize("kind", ["single", "multi"])
+    @pytest.mark.parametrize(
+        ("every", "callback"),
+        [(0, print), (-5, print), (1000, None)],
+        ids=["zero", "negative", "no-callback"],
+    )
+    def test_bad_cadence_raises(self, kind, every, callback):
+        if kind == "single":
+            session = make_sim().start_session(make_workload())
+        else:
+            session = MultiCoreSession.start(
+                [make_workload()], llc_config=CFG, seed=5
+            )
+        with pytest.raises(SimulationError, match="checkpoint_every_refs"):
+            session.run(checkpoint_every_refs=every, on_checkpoint=callback)
+        assert session.step(), "a refused cadence must not run the session"
 
 
 # ------------------------------------------------------- repeated-run safety
