@@ -17,7 +17,7 @@ persistent result cache (see ``src/repro/experiments/parallel.py``):
   repeated benchmark invocation (or a CI run restoring the directory)
   is served from the cache instead of re-simulating;
 * ``REPRO_BACKEND=array`` — run every simulation on the flat-array
-  cache kernel (bit-identical to the default "reference" backend, and
+  cache kernel (bit-identical to the default "auto" backend, and
   keyed separately in the result cache).
 """
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.kernels import KERNEL_BACKENDS
+from repro.cache.kernels import DEFAULT_BACKEND, KERNEL_BACKENDS
 from repro.cache.policies import ReplacementPolicy
 from repro.errors import CacheConfigError
 from repro.util.units import fmt_bytes, parse_size
@@ -117,11 +117,11 @@ class CacheConfig:
     assoc: int = 4
     policy: ReplacementPolicy = field(default=ReplacementPolicy.LRU)
     #: Kernel backend executing the access loop ("reference", "array" or
-    #: "auto", which picks between them from observed miss density);
-    #: backends are bit-identical, so this is purely a speed knob — but it
-    #: still participates in result-cache keys (see experiments/) because
-    #: the config is hashed field-by-field.
-    backend: str = "reference"
+    #: the default "auto", which picks between them from miss budgets and
+    #: observed miss density); backends are bit-identical, so this is
+    #: purely a speed knob — but it still participates in result-cache
+    #: keys (see experiments/) because the config is hashed field-by-field.
+    backend: str = DEFAULT_BACKEND
     #: Declarative miss-reduction decorator stack (victim cache, miss
     #: cache, stream buffers — see :mod:`repro.cache.components`).
     #: Accepts a tuple of :class:`MechanismSpec`, kind strings, or a

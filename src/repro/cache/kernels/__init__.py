@@ -16,11 +16,13 @@ name:
   miss masks, same ``miss_budget`` early-exit points, same
   writeback/prefetch counts, same seeded RANDOM-eviction stream
   (enforced by tests/cache/test_backend_equivalence.py).
-* ``"auto"`` — starts on the array kernel, watches the first ~64 Ki
-  references, and transplants the state into the reference kernel iff
-  the policy is RANDOM and the observed miss density is high (the one
-  regime where the array kernel's sequential fallback loses). Either
-  way the results are bit-identical; only throughput changes.
+* ``"auto"`` (the default) — starts on the array kernel and transplants
+  the state into the reference kernel on the first miss-budgeted access
+  (a sampling tool is attached; budgeted chunks are classified in small
+  windows, where the plain loop wins), or when the first ~64 Ki
+  references show a conflict-heavy RANDOM stream (the one regime where
+  the array kernel's sequential fallback loses). Either way the results
+  are bit-identical; only throughput changes.
 
 Kernels take plain geometry integers rather than a
 :class:`~repro.cache.config.CacheConfig` so that ``config.py`` can
@@ -51,7 +53,9 @@ __all__ = [
 #: Registered kernel backends, in preference order for documentation.
 KERNEL_BACKENDS = ("reference", "array", "auto")
 
-DEFAULT_BACKEND = "reference"
+#: Backend used when neither the config nor the caller names one; the
+#: single source of ``CacheConfig.backend``'s default.
+DEFAULT_BACKEND = "auto"
 
 _KERNELS: dict[str, type[SetKernel]] = {
     "reference": ReferenceKernel,

@@ -18,6 +18,15 @@ backends are bit-identical, so the choice — and its timing — can never
 change results, only throughput; the transplant preserves the seeded
 RANDOM eviction stream exactly.
 
+A miss budget overrides the probe. Budgets come from a sampling tool's
+overflow counter, and a cache model classifies a budgeted chunk in
+small prefix windows (see
+:meth:`~repro.cache.set_assoc.SetAssociativeCache._chunk_access`), where
+NumPy's per-call overhead loses to the plain loop. So the first
+budgeted access commits to the reference kernel for the rest of the
+run, whatever the probe would have said; tool-free runs never see a
+budget and keep the array kernel.
+
 Snapshots record the probe state and the active backend, so a restored
 session resumes with the same decision (made or pending) it saved.
 """
@@ -65,6 +74,8 @@ class AutoKernel(SetKernel):
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
     ) -> KernelResult:
+        if miss_budget is not None and self._inner.name != "reference":
+            self._switch_to_reference()
         result = self._inner.access(addrs, miss_budget, writes)
         if not self._decided:
             self._probe_refs += result.consumed
@@ -72,6 +83,9 @@ class AutoKernel(SetKernel):
             if self._probe_refs >= PROBE_REFS:
                 self._decide()
         return result
+
+    def reserve(self, n: int) -> None:
+        self._inner.reserve(n)
 
     def reset(self) -> None:
         # Cold start keeps the committed backend (and, per the kernel
@@ -140,6 +154,8 @@ class AutoKernel(SetKernel):
             self._switch_to_reference()
 
     def _switch_to_reference(self) -> None:
+        """Transplant the array state into a reference kernel; final."""
+        self._decided = True
         inner = self._inner
         ref = self._make_inner("reference")
         ref._sets = [

@@ -12,7 +12,12 @@ The RANDOM replacement policy draws eviction indices from a pre-filled
 pool (drawing one random number per eviction inside the hot loop would
 dominate runtime). The pool refill rule is part of the equivalence
 contract — it is keyed on the *chunk length*, not on how many evictions
-the chunk performs — so it lives here, shared by every backend.
+the chunk performs — so it lives here, shared by every backend, behind
+:meth:`SetKernel.reserve`. A consumed reference pops at most two pool
+entries (its own eviction and a prefetch fill's), so once a chunk of
+``n`` references is reserved, reserving any prefix window of it again
+is a no-op: that is what lets a cache model classify a budgeted chunk
+window by window with the exact draws of one whole-chunk call.
 """
 
 from __future__ import annotations
@@ -87,6 +92,25 @@ class SetKernel(abc.ABC):
         """Refill the eviction pool for a chunk of ``n`` references."""
         if len(self._rand_pool) < 2 * n:
             self._refill_rand_pool(2 * n)
+
+    def reserve(self, n: int) -> None:
+        """Make the RANDOM eviction pool cover a chunk of ``n`` references.
+
+        A no-op for LRU/FIFO, and for a pool already holding ``2 * n``
+        entries; otherwise the pool is refilled (see the module notes).
+        """
+        if self.policy is ReplacementPolicy.RANDOM:
+            self._ensure_rand_pool(n)
+
+    @staticmethod
+    def _miss_mask(miss_flags: bytearray, consumed: int) -> np.ndarray:
+        """The boolean miss mask of the first ``consumed`` references.
+
+        ``miss_flags`` holds one 0/1 byte per reference, so it reads
+        directly as NumPy bools; the one copy detaches the result from
+        the kernel's scratch buffer.
+        """
+        return np.frombuffer(miss_flags, dtype=bool, count=consumed).copy()
 
     # ----------------------------------------------------------- interface
 

@@ -163,8 +163,7 @@ class ArrayKernel(SetKernel):
         if n == 0:
             return KernelResult(np.zeros(0, dtype=bool), 0, 0, 0, 0)
         lines_arr = np.asarray(addrs, dtype=np.uint64) >> self.line_bits
-        if self.policy is ReplacementPolicy.RANDOM:
-            self._ensure_rand_pool(n)
+        self.reserve(n)
         if writes is not None or self.prefetch_next_line:
             return self._access_exact(lines_arr, miss_budget, writes)
         return self._access_fast(lines_arr, miss_budget)
@@ -308,10 +307,13 @@ class ArrayKernel(SetKernel):
             self.n_sets, assoc
         )
         self._n_dirty = n_dirty
-        miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
-            bool
+        return KernelResult(
+            self._miss_mask(miss_flags, consumed),
+            consumed,
+            misses,
+            writebacks,
+            prefetches,
         )
-        return KernelResult(miss_mask, consumed, misses, writebacks, prefetches)
 
     # ------------------------------------------------------------ fast path
 
@@ -501,20 +503,17 @@ class ArrayKernel(SetKernel):
                         budget -= m
                         if budget == 0:
                             consumed = int(leader_pos[start + m - 1]) + 1
-                            miss_mask = np.frombuffer(
-                                bytes(miss_flags[:consumed]), dtype=np.uint8
-                            ).astype(bool)
+                            mask = self._miss_mask(miss_flags, consumed)
                             return KernelResult(
-                                miss_mask, consumed, misses, writebacks, 0
+                                mask, consumed, misses, writebacks, 0
                             )
                     start += m
 
         rem = n_lead - start
         if rem == 0:
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return KernelResult(
+                self._miss_mask(miss_flags, consumed), consumed, misses, writebacks, 0
+            )
 
         # -------- rounds tail: whole-chunk gather/scatter for the
         # scattered remainder. Sound only without a budget (the cut point
@@ -530,10 +529,9 @@ class ArrayKernel(SetKernel):
             )
             misses += tail_misses
             writebacks += tail_wb
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return KernelResult(
+                self._miss_mask(miss_flags, consumed), consumed, misses, writebacks, 0
+            )
 
         # Scattered certified-hit pass before the sequential tail: any
         # remaining leader that is resident AND precedes its own set's
@@ -561,10 +559,9 @@ class ArrayKernel(SetKernel):
         if seq_leaders is None:
             seq_leaders = range(start, n_lead)
         if not seq_leaders:
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return KernelResult(
+                self._miss_mask(miss_flags, consumed), consumed, misses, writebacks, 0
+            )
 
         # -------- sequential tail: lazily materialise touched sets as
         # small logical-order Python lists (membership over <= assoc
@@ -644,10 +641,9 @@ class ArrayKernel(SetKernel):
                         drow[j] = 1
 
         self._n_dirty = n_dirty
-        miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
-            bool
+        return KernelResult(
+            self._miss_mask(miss_flags, consumed), consumed, misses, writebacks, 0
         )
-        return KernelResult(miss_mask, consumed, misses, writebacks, 0)
 
     # --------------------------------------------------- vectorised phases
 

@@ -81,8 +81,7 @@ class ReferenceKernel(SetKernel):
         lru = policy is ReplacementPolicy.LRU
         random_policy = policy is ReplacementPolicy.RANDOM
         prefetch = self.prefetch_next_line
-        if random_policy:
-            self._ensure_rand_pool(n)
+        self.reserve(n)
         rand_pool = self._rand_pool
 
         miss_flags = bytearray(n)
@@ -132,7 +131,10 @@ class ReferenceKernel(SetKernel):
                     consumed = i + 1
                     break
 
-        miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
-            bool
+        return KernelResult(
+            self._miss_mask(miss_flags, consumed),
+            consumed,
+            misses,
+            writebacks,
+            prefetches,
         )
-        return KernelResult(miss_mask, consumed, misses, writebacks, prefetches)

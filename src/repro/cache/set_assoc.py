@@ -7,7 +7,13 @@ single-level set associative cache". The hit/miss engine itself lives in
 * ``"reference"`` — the original list-of-lists kernel, oldest-first per
   set; its sequential loop defines the semantics;
 * ``"array"`` — flat-array state with vectorised fast paths for
-  streaming chunks, bit-identical to the reference kernel.
+  streaming chunks, bit-identical to the reference kernel;
+* ``"auto"`` (the default) — array, until a miss budget or a
+  conflict-heavy RANDOM stream makes the reference kernel the faster one.
+
+A miss-budgeted chunk is handed to the kernel as growing prefix windows
+sized from the cache's running refs-per-miss, so a chunk the budget cuts
+early costs only the references it consumes (see :meth:`_chunk_access`).
 
 Beyond the paper's model, two optional realism features are provided for
 the ablation benches:
@@ -37,6 +43,13 @@ from repro.cache.kernels.base import KernelResult
 from repro.cache.policies import ReplacementPolicy
 from repro.errors import SimulationError
 
+#: Budgeted chunks up to this long go to the kernel whole; it is also the
+#: floor added to every estimated first window.
+WINDOW_MIN = 32
+
+#: Headroom on the estimated refs-to-budget of a first window.
+WINDOW_MARGIN = 1.25
+
 
 class SetAssociativeCache(CacheComponent):
     """Exact A-way set-associative cache over a pluggable kernel."""
@@ -63,6 +76,10 @@ class SetAssociativeCache(CacheComponent):
         self._staged_misses = 0
         self._staged_writebacks = 0
         self._staged_prefetches = 0
+        #: Kernel refs and misses so far, for sizing budget windows only
+        #: (a speed knob: windowing never changes results).
+        self._window_refs = 0
+        self._window_misses = 0
 
     def reset(self) -> None:
         self._kernel.reset()
@@ -121,7 +138,50 @@ class SetAssociativeCache(CacheComponent):
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
     ) -> KernelResult:
-        res = self._kernel.access(addrs, miss_budget=miss_budget, writes=writes)
+        """Classify a chunk; a budgeted one in growing prefix windows.
+
+        A sampling tool's miss budget often cuts a chunk after a small
+        fraction of it, and the session then resubmits the remainder —
+        so a budgeted chunk goes to the kernel as successive prefix
+        windows, each with the budget left, until the budget is spent or
+        the chunk ends. The first window is the budget times the running
+        refs-per-miss, with headroom, plus :data:`WINDOW_MIN`; each
+        undershoot doubles it. This is bit-identical to one whole-chunk
+        call: LRU/FIFO state is a pure function of reference order, and
+        the RANDOM eviction pool is reserved once for the whole chunk
+        up front, so no window refills it (see
+        :meth:`~repro.cache.kernels.base.SetKernel.reserve`).
+        """
+        n = len(addrs)
+        kernel = self._kernel
+        window = n
+        if miss_budget is not None and miss_budget > 0 and n > WINDOW_MIN:
+            refs_per_miss = (self._window_refs + 1) / (self._window_misses + 1)
+            window = int(miss_budget * refs_per_miss * WINDOW_MARGIN) + WINDOW_MIN
+        if window >= n:
+            res = kernel.access(addrs, miss_budget=miss_budget, writes=writes)
+        else:
+            kernel.reserve(n)
+            masks = []
+            pos = misses = writebacks = prefetches = 0
+            while pos < n and misses < miss_budget:
+                hi = pos + window
+                part = kernel.access(
+                    addrs[pos:hi],
+                    miss_budget=miss_budget - misses,
+                    writes=writes[pos:hi] if writes is not None else None,
+                )
+                masks.append(part.miss_mask)
+                pos += part.consumed
+                misses += part.misses
+                writebacks += part.writebacks
+                prefetches += part.prefetches
+                window *= 2
+            res = KernelResult(
+                np.concatenate(masks), pos, misses, writebacks, prefetches
+            )
+        self._window_refs += res.consumed
+        self._window_misses += res.misses
         self._staged_misses += res.misses
         self._staged_writebacks += res.writebacks
         self._staged_prefetches += res.prefetches

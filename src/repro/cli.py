@@ -112,9 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=list(KERNEL_BACKENDS),
         default=None,
-        help="cache kernel backend (default: the config's 'reference'); "
-        "backends are bit-identical, 'array' is the fast path and 'auto' "
-        "picks per run from observed miss density",
+        help="cache kernel backend (default: the config's 'auto'); "
+        "backends are bit-identical: 'reference' is the plain loop, "
+        "'array' the vectorised path, and 'auto' runs 'array' until a "
+        "tool's miss budget or a conflict-heavy RANDOM stream favours "
+        "'reference'",
     )
     parser.add_argument(
         "--mechanism",

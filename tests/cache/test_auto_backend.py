@@ -113,3 +113,90 @@ class TestSnapshot:
         assert not fresh._kernel._decided
         assert fresh._kernel._probe_refs == kernel._probe_refs
         assert fresh._kernel._probe_misses == kernel._probe_misses
+
+
+class TestBudgetCommit:
+    """A miss budget commits the auto kernel to the reference backend."""
+
+    def _cache(self, policy=ReplacementPolicy.LRU):
+        cfg = CacheConfig(policy=policy, backend="auto", **CFG_LRU)
+        return SetAssociativeCache(cfg, seed=7)
+
+    def test_first_budgeted_access_switches_for_good(self):
+        cache = self._cache()
+        kernel = cache._kernel
+        cache.access(_uniform(5000, n_lines=512))
+        assert kernel._inner.name == "array"
+        assert not kernel._decided
+        cache.access(_uniform(5000, n_lines=512, seed=4), miss_budget=50)
+        assert kernel._inner.name == "reference"
+        assert kernel._decided
+        # Unbudgeted accesses, even past the probe window, stay put.
+        cache.access(_uniform(PROBE_REFS + 4096, n_lines=512, seed=5))
+        assert kernel._inner.name == "reference"
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ReplacementPolicy.LRU, ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM],
+    )
+    def test_snapshots_across_the_switch_resume_identically(self, policy):
+        head = _uniform(6000, n_lines=1024)
+        cut = _uniform(6000, n_lines=1024, seed=4)
+        tail = _uniform(20_000, n_lines=1024, seed=5)
+        cache = self._cache(policy)
+        cache.access(head)
+        before = cache._kernel.snapshot()
+        cache.access(cut, miss_budget=100)
+        after = cache._kernel.snapshot()
+        want = cache._kernel.access(tail)
+
+        for state, inner, steps in (
+            (before, "array", [(cut, 100), (tail, None)]),
+            (after, "reference", [(tail, None)]),
+        ):
+            fresh = self._cache(policy)
+            fresh._kernel.restore(state)
+            assert fresh._kernel._inner.name == inner
+            for addrs, budget in steps:
+                got = fresh._kernel.access(addrs, miss_budget=budget)
+            assert fresh._kernel._inner.name == "reference"
+            assert got.miss_mask.tolist() == want.miss_mask.tolist()
+            assert got.writebacks == want.writebacks
+            assert fresh._kernel.snapshot() == cache._kernel.snapshot()
+
+    def test_rng_replay_holds_after_the_switch(self):
+        from repro import sanitize
+        from repro.core.sampling import SamplingProfiler
+        from repro.sim.engine import Simulator
+        from repro.sim.session import SimulationSession
+        from repro.workloads.synthetic import SyntheticStreams
+
+        def workload():
+            return SyntheticStreams(
+                {"A": (64 * 1024, 100)}, rounds=2, lines_per_round=1500, seed=3
+            )
+
+        cfg = CacheConfig(
+            size=16 * 1024, assoc=4, policy=ReplacementPolicy.RANDOM,
+            backend="auto",
+        )
+        sanitize.reset_checks()
+        sanitize.activate()
+        try:
+            session = Simulator(cfg, seed=5).start_session(
+                workload(), tool=SamplingProfiler(period=701)
+            )
+            session.step()
+            kernel = session.cache._kernel
+            assert kernel._inner.name == "reference"
+            assert kernel._inner._rand_draws > 0
+            sanitize.verify_kernel_rng(kernel)
+            # Restoring verifies the replay at the restore boundary too.
+            resumed = SimulationSession.restore(session.snapshot(), workload())
+            assert resumed.cache._kernel._inner.name == "reference"
+            resumed.run()
+            sanitize.verify_cache_rng(resumed.cache)
+            assert sanitize.checks_run()["rng.replay"] >= 3
+        finally:
+            sanitize.deactivate()
+            sanitize.reset_checks()

@@ -67,7 +67,7 @@ class TestBackendSelection:
         from repro.cache import KERNEL_BACKENDS, resolve_backend
 
         assert KERNEL_BACKENDS == ("reference", "array", "auto")
-        assert resolve_backend(None) == "reference"
+        assert resolve_backend(None) == "auto"
         assert resolve_backend("array") == "array"
 
     def test_unknown_backend_rejected(self):
@@ -121,7 +121,7 @@ class TestBackendSelection:
 
         cfg = RunnerConfig(seed=1, backend="array")
         assert cfg.cache.backend == "array"
-        assert RunnerConfig(seed=1).cache.backend == "reference"
+        assert RunnerConfig(seed=1).cache.backend == "auto"
 
     def test_cli_exposes_backend_flag(self):
         from repro.cli import build_parser

@@ -144,11 +144,11 @@ class TestPipelineIdentity:
 
 
 class TestRngReplay:
-    def _random_cache(self):
+    def _random_cache(self, backend="reference"):
         cfg = CacheConfig(
             size=4096, line_size=64, assoc=4, policy=ReplacementPolicy.RANDOM
         )
-        cache = make_cache(cfg, seed=9)
+        cache = make_cache(cfg, seed=9, backend=backend)
         cache.access(stream(n=2000, span=800))
         return cache
 
@@ -166,6 +166,26 @@ class TestRngReplay:
     def test_unaccounted_draw_fires(self):
         cache = self._random_cache()
         cache._kernel._rng.integers(0, 4, size=8)  # draw behind the counter
+        with pytest.raises(SanitizerError, match="replay"):
+            verify_kernel_rng(cache._kernel)
+
+    # The auto kernel draws through its inner backend, so the faults are
+    # injected there; the walk must still find them through the wrapper.
+
+    def test_auto_clean_replay_passes(self):
+        cache = self._random_cache("auto")
+        verify_cache_rng(cache)
+        assert cache._kernel._inner._rand_draws > 0
+
+    def test_auto_corrupt_draw_count_fires(self):
+        cache = self._random_cache("auto")
+        cache._kernel._inner._rand_draws += 1
+        with pytest.raises(SanitizerError, match="replay"):
+            verify_cache_rng(cache)
+
+    def test_auto_unaccounted_draw_fires(self):
+        cache = self._random_cache("auto")
+        cache._kernel._inner._rng.integers(0, 4, size=8)
         with pytest.raises(SanitizerError, match="replay"):
             verify_kernel_rng(cache._kernel)
 
