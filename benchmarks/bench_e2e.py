@@ -4,11 +4,13 @@ Runs the Table 1 quick suite (the same per-app kwargs the experiment
 runner's ``--quick`` preset uses) through ``Simulator.run`` twice per
 application:
 
-* **generator** — the default configuration: workload generator feeding
-  the ``reference`` cache kernel, exactly what a stock run paid before
-  stream compilation existed;
+* **generator** — the default configuration: the workload generator
+  feeding the cache, exactly what a stock run paid before stream
+  compilation existed;
 * **compiled** — ``compile_streams=True`` over a warm on-disk stream
-  cache with ``backend="auto"``, the fast path this repository ships.
+  cache, the fast path this repository ships.
+
+Both run the default (``"auto"``) cache kernel.
 
 Both runs keep ground-truth attribution on (the paper's "Actual" column
 is part of every Table 1 run), and the benchmark asserts they agree on
@@ -66,7 +68,7 @@ _STEADY_KWARGS: dict[str, dict] = {
 def _simulators(stream_dir: str) -> tuple[Simulator, Simulator]:
     gen = Simulator(CacheConfig(), seed=7)
     fast = Simulator(
-        CacheConfig(backend="auto"),
+        CacheConfig(),
         seed=7,
         compile_streams=True,
         stream_cache_dir=stream_dir,

@@ -17,8 +17,8 @@ persistent result cache (see ``src/repro/experiments/parallel.py``):
   repeated benchmark invocation (or a CI run restoring the directory)
   is served from the cache instead of re-simulating;
 * ``REPRO_BACKEND=array`` — run every simulation on the flat-array
-  cache kernel (bit-identical to the default "auto" backend, and
-  keyed separately in the result cache).
+  cache kernel (bit-identical to the default "auto" kernel, so its
+  results share result-cache entries with every other kernel's).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache import kernels
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
 
 REPORTS_DIR = Path(__file__).parent / "reports"
@@ -39,8 +40,10 @@ def runner() -> ExperimentRunner:
     jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
     cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
     backend = os.environ.get("REPRO_BACKEND") or None
+    if backend is not None:
+        kernels.DEFAULT_BACKEND = kernels.resolve_backend(backend)
     runner = ExperimentRunner(
-        RunnerConfig(seed=1234, backend=backend),
+        RunnerConfig(seed=1234),
         quick=False,
         jobs=jobs,
         cache_dir=cache_dir,

@@ -12,7 +12,6 @@ per-object miss attribution that produces the paper's "Actual" columns.
 from repro.cache.config import CacheConfig, MechanismSpec, parse_mechanisms
 from repro.cache.base import AccessResult, CacheModel, CacheStats
 from repro.cache.policies import ReplacementPolicy
-from repro.cache.kernels import KERNEL_BACKENDS, resolve_backend
 from repro.cache.components import (
     CacheComponent,
     LineOutcome,
@@ -37,7 +36,6 @@ __all__ = [
     "LineOutcome",
     "MechanismSpec",
     "ReplacementPolicy",
-    "KERNEL_BACKENDS",
     "SetAssociativeCache",
     "DirectMappedCache",
     "TwoLevelCache",
@@ -57,7 +55,6 @@ def make_cache(
     seed: int | None = None,
     l1_config: CacheConfig | None = None,
     prefetch_next_line: bool = False,
-    backend: str | None = None,
 ) -> CacheModel:
     """Build the right cache model for ``config``.
 
@@ -65,45 +62,39 @@ def make_cache(
     a prefetcher is requested (prefetch needs the sequential model).
     ``l1_config`` puts a filtering L1 in front, returning a
     :class:`TwoLevelCache` whose miss stream (what the counters see) is
-    the L2's. ``backend`` selects the kernel executing the access loop
-    (see :mod:`repro.cache.kernels`); it defaults to ``config.backend``
-    and, for the two-level model, applies to both levels.
+    the L2's. Which bit-identical kernel runs the access loop is not a
+    choice here: see :mod:`repro.cache.kernels`.
 
     ``config.mechanisms`` wraps the built stack (outermost component
     last-listed) in the requested miss-reduction decorators — see
-    :mod:`repro.cache.components`. Decorated stacks need the per-line
-    victim protocol, which only the reference kernel's state exposes, so
-    ``backend="array"``/``"auto"`` silently fall back to ``reference``
-    until a flat decorated path exists (the dispatch tests pin this).
+    :mod:`repro.cache.components`. Decorators drive the per-line victim
+    protocol, which only the reference kernel's state exposes, so
+    wrapping moves the stack onto that kernel before its first access.
     An empty ``mechanisms`` tuple builds exactly the undecorated model.
     """
-    backend = resolve_backend(backend if backend is not None else config.backend)
-    if config.mechanisms:
-        if prefetch_next_line:
-            stack = "+".join(m.describe() for m in config.mechanisms)
-            raise CacheConfigError(
-                "prefetch_next_line cannot combine with the mechanism "
-                f"stack {stack}: both own the miss path. Drop the "
-                "prefetcher, or put an sb (stream buffers) entry in the "
-                "stack — `repro mechanisms` sweeps those exactly"
-            )
-        base: CacheModel = (
-            TwoLevelCache(l1_config, config, backend="reference", seed=seed)
-            if l1_config is not None
-            else SetAssociativeCache(config, seed=seed, backend="reference")
+    if prefetch_next_line and config.mechanisms:
+        stack = "+".join(m.describe() for m in config.mechanisms)
+        raise CacheConfigError(
+            "prefetch_next_line cannot combine with the mechanism "
+            f"stack {stack}: both own the miss path. Drop the "
+            "prefetcher, or put an sb (stream buffers) entry in the "
+            "stack — `repro mechanisms` sweeps those exactly"
         )
-        return wrap_mechanisms(base, config.mechanisms)
+    if prefetch_next_line and l1_config is not None:
+        raise CacheConfigError(
+            "prefetch_next_line is not supported on the two-level model"
+        )
     if l1_config is not None:
-        if prefetch_next_line:
-            raise CacheConfigError(
-                "prefetch_next_line is not supported on the two-level model"
-            )
-        return TwoLevelCache(l1_config, config, backend=backend, seed=seed)
-    if config.assoc == 1 and not prefetch_next_line:
-        # Already fully vectorised and exact for any backend; the miss
-        # classification (and its indifference to write masks) must not
-        # change with the backend knob, so both selections share it.
-        return DirectMappedCache(config, backend=backend)
-    return SetAssociativeCache(
-        config, seed=seed, prefetch_next_line=prefetch_next_line, backend=backend
-    )
+        base: CacheModel = TwoLevelCache(l1_config, config, seed=seed)
+    elif config.assoc == 1 and not prefetch_next_line and not config.mechanisms:
+        # Already fully vectorised and exact; its miss classification
+        # (and its indifference to write masks) is the same whichever
+        # kernel a set-associative model would have run.
+        return DirectMappedCache(config)
+    else:
+        base = SetAssociativeCache(
+            config, seed=seed, prefetch_next_line=prefetch_next_line
+        )
+    if config.mechanisms:
+        return wrap_mechanisms(base, config.mechanisms)
+    return base

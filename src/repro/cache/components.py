@@ -44,10 +44,11 @@ Mechanism semantics (Jouppi 1990, adapted to this code base's model):
   Every rescued line was prefetched earlier (``sb_hits`` can never
   exceed ``sb_prefetches``).
 
-Decorated stacks run on the reference kernel only (``make_cache`` forces
-the backend; there is no flat/vectorised path for decorators yet), and
-the scalar loop stops *exactly* at the budget-th post-mechanism miss —
-the same interrupt-precision contract the chunked models honour.
+Decorated stacks run on the reference kernel only (a decorator moves the
+component it wraps onto it; there is no flat/vectorised path for
+decorators yet), and the scalar loop stops *exactly* at the budget-th
+post-mechanism miss — the same interrupt-precision contract the chunked
+models honour.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class CacheComponent(CacheModel):
     """
 
     # ------------------------------------------------------------ scalar
+
+    def prepare_line_access(self) -> None:
+        """Make :meth:`access_line` usable; called by a wrapping decorator
+        before the first access. Most components need nothing."""
 
     @abc.abstractmethod
     def begin_stage(self) -> None:
@@ -158,6 +163,7 @@ class MechanismDecorator(CacheComponent):
                 f"{type(self).__name__} needs entries >= 1, got {entries}"
             )
         super().__init__(inner.config)
+        inner.prepare_line_access()
         self.inner = inner
         self.entries = entries
         self._staged_misses = 0
@@ -494,6 +500,10 @@ class Pipeline(CacheComponent):
         self.stats = self.levels[-1].stats
 
     # ------------------------------------------------------------ scalar
+
+    def prepare_line_access(self) -> None:
+        for level in self.levels:
+            level.prepare_line_access()
 
     def begin_stage(self) -> None:
         for level in self.levels:

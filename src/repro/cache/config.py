@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.kernels import DEFAULT_BACKEND, KERNEL_BACKENDS
 from repro.cache.policies import ReplacementPolicy
 from repro.errors import CacheConfigError
 from repro.util.units import fmt_bytes, parse_size
@@ -116,18 +115,12 @@ class CacheConfig:
     line_size: int = 64
     assoc: int = 4
     policy: ReplacementPolicy = field(default=ReplacementPolicy.LRU)
-    #: Kernel backend executing the access loop ("reference", "array" or
-    #: the default "auto", which picks between them from miss budgets and
-    #: observed miss density); backends are bit-identical, so this is
-    #: purely a speed knob — but it still participates in result-cache
-    #: keys (see experiments/) because the config is hashed field-by-field.
-    backend: str = DEFAULT_BACKEND
     #: Declarative miss-reduction decorator stack (victim cache, miss
     #: cache, stream buffers — see :mod:`repro.cache.components`).
     #: Accepts a tuple of :class:`MechanismSpec`, kind strings, or a
-    #: compact ``"vc+sb"`` string; normalised to a spec tuple. Unlike
-    #: ``backend`` this changes simulated behaviour, and it reaches every
-    #: experiment cache key through the same field-by-field hash.
+    #: compact ``"vc+sb"`` string; normalised to a spec tuple. It changes
+    #: simulated behaviour, and it reaches every experiment cache key
+    #: through the config's field-by-field hash.
     mechanisms: tuple = ()
 
     def __post_init__(self) -> None:
@@ -145,11 +138,6 @@ class CacheConfig:
         if self.n_sets <= 0 or self.n_sets & (self.n_sets - 1):
             raise CacheConfigError(
                 f"number of sets ({self.n_sets}) must be a power of two"
-            )
-        if self.backend not in KERNEL_BACKENDS:
-            raise CacheConfigError(
-                f"unknown cache kernel backend {self.backend!r}; "
-                f"available: {', '.join(KERNEL_BACKENDS)}"
             )
         object.__setattr__(self, "mechanisms", parse_mechanisms(self.mechanisms))
 
@@ -184,7 +172,7 @@ class CacheConfig:
 
     def resized(self, size: "int | str") -> "CacheConfig":
         """This geometry at a different total size (same line size,
-        associativity, policy, backend and mechanism stack) — the sweep
+        associativity, policy and mechanism stack) — the sweep
         helper experiment grids use to vary capacity alone."""
         import dataclasses
 

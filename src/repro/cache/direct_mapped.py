@@ -31,19 +31,12 @@ _EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)  # no real line number is all-ones
 class DirectMappedCache(CacheComponent):
     """Exact direct-mapped cache, vectorised over reference chunks."""
 
-    def __init__(self, config: CacheConfig, backend: str | None = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         if config.assoc != 1:
             raise CacheConfigError(
                 f"DirectMappedCache requires assoc=1, got {config.assoc}"
             )
         super().__init__(config)
-        # This model is already fully vectorised and exact, so it serves
-        # every kernel backend; the attribute only records the selection.
-        from repro.cache.kernels import resolve_backend
-
-        self.backend = resolve_backend(
-            backend if backend is not None else config.backend
-        )
         self._tags = np.full(config.n_sets, _EMPTY, dtype=np.uint64)
         self._staged_misses = 0
 

@@ -19,10 +19,9 @@ to both levels) and keeps the pre-refactor contract bit-for-bit:
   tag the two levels' access totals must agree — an invariant the tests
   check via :meth:`CacheStats.snapshot`/:meth:`CacheStats.merge`.
 
-Each level runs on the kernel backend selected by ``backend`` (or, by
-default, the L2 config's ``backend`` field) — see
-:mod:`repro.cache.kernels`. Write masks are ignored by this model (no
-dirty-line tracking across levels).
+Each level runs on the default kernel (see :mod:`repro.cache.kernels`).
+Write masks are ignored by this model (no dirty-line tracking across
+levels).
 
 The hierarchy bench shows the profiling techniques still rank the same
 objects when an L1 filter removes most hits from the monitored stream.
@@ -37,10 +36,7 @@ from repro.cache.set_assoc import SetAssociativeCache
 
 
 def make_private_l1(
-    l1: CacheConfig,
-    backend: str | None = None,
-    seed: int | None = None,
-    core_id: int = 0,
+    l1: CacheConfig, seed: int | None = None, core_id: int = 0
 ) -> SetAssociativeCache:
     """Build one core's private L1 exactly as :class:`TwoLevelCache` does.
 
@@ -50,36 +46,31 @@ def make_private_l1(
     (``seed + 1``); later cores shift by their core id.
     """
     return SetAssociativeCache(
-        l1,
-        seed=None if seed is None else seed + 1 + core_id,
-        backend=backend,
+        l1, seed=None if seed is None else seed + 1 + core_id
     )
 
 
-def make_shared_level(
-    llc: CacheConfig, backend: str | None = None, seed: int | None = None
-) -> SharedCacheLevel:
+def make_shared_level(llc: CacheConfig, seed: int | None = None) -> SharedCacheLevel:
     """Build the shared LLC leaf with :class:`TwoLevelCache`'s L2 seeding."""
-    return SharedCacheLevel(SetAssociativeCache(llc, seed=seed, backend=backend))
+    return SharedCacheLevel(SetAssociativeCache(llc, seed=seed))
 
 
 def core_pipeline(
     shared: SharedCacheLevel,
     core_id: int,
     l1: CacheConfig | None = None,
-    backend: str | None = None,
     seed: int | None = None,
 ) -> Pipeline:
     """One core's hierarchy over a shared level: ``[private L1?, port]``.
 
-    The port's solo *shadow* model reuses the leaf's geometry, backend
-    and seed, so with one core it evolves bit-identically to the shared
-    leaf and every miss classifies as *self*.
+    The port's solo *shadow* model reuses the leaf's geometry and seed,
+    so with one core it evolves bit-identically to the shared leaf and
+    every miss classifies as *self*.
     """
-    shadow = SetAssociativeCache(shared.config, seed=seed, backend=backend)
+    shadow = SetAssociativeCache(shared.config, seed=seed)
     port = shared.port(core_id, shadow)
     levels = [port] if l1 is None else [
-        make_private_l1(l1, backend=backend, seed=seed, core_id=core_id),
+        make_private_l1(l1, seed=seed, core_id=core_id),
         port,
     ]
     return Pipeline(levels)
@@ -92,17 +83,15 @@ class TwoLevelCache(Pipeline):
         self,
         l1: CacheConfig,
         l2: CacheConfig,
-        backend: str | None = None,
         seed: int | None = None,
     ) -> None:
         # Distinct seeds keep the levels' RANDOM-eviction streams
         # independent while staying deterministic.
-        level1 = make_private_l1(l1, backend=backend, seed=seed)
-        level2 = SetAssociativeCache(l2, seed=seed, backend=backend)
+        level1 = make_private_l1(l1, seed=seed)
+        level2 = SetAssociativeCache(l2, seed=seed)
         super().__init__([level1, level2])
         self.l1_config = l1
         self.l2_config = l2
-        self.backend = level2.backend
 
     @property
     def l1_stats(self) -> CacheStats:

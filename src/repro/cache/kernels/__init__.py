@@ -6,8 +6,12 @@ and classifies chunks of references. Cache models
 (:class:`~repro.cache.set_assoc.SetAssociativeCache`,
 :class:`~repro.cache.hierarchy.TwoLevelCache`) stay responsible for
 statistics and for the public :class:`~repro.cache.base.CacheModel`
-interface, and delegate the actual simulation to a kernel selected by
-name:
+interface, and delegate the actual simulation to a kernel. Which kernel
+runs is not a user setting: all three are bit-identical, so
+:class:`~repro.cache.set_assoc.SetAssociativeCache` runs
+:data:`DEFAULT_BACKEND` unless it is handed a name (the differential
+tests and the kernel benchmark do; decorated stacks take
+``"reference"``). The kernels:
 
 * ``"reference"`` — the original list-of-lists model, oldest-first per
   set.  Semantics are defined by this kernel.
@@ -25,8 +29,7 @@ name:
   are bit-identical; only throughput changes.
 
 Kernels take plain geometry integers rather than a
-:class:`~repro.cache.config.CacheConfig` so that ``config.py`` can
-import the backend registry without a cycle.
+:class:`~repro.cache.config.CacheConfig`, so they stand alone.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ __all__ = [
 #: Registered kernel backends, in preference order for documentation.
 KERNEL_BACKENDS = ("reference", "array", "auto")
 
-#: Backend used when neither the config nor the caller names one; the
-#: single source of ``CacheConfig.backend``'s default.
+#: Kernel every cache runs when none is named. Read at construction, so
+#: a test session can rebind it to run the whole suite on one kernel.
 DEFAULT_BACKEND = "auto"
 
 _KERNELS: dict[str, type[SetKernel]] = {

@@ -145,7 +145,6 @@ def mrc_from_addrs(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     seed: int | None = None,
     line_size: int = 64,
-    distance_backend: str = "sortmerge",
 ) -> MrcResult:
     """The MRC pass over a raw address array.
 
@@ -165,7 +164,7 @@ def mrc_from_addrs(
         sample_rate = 1.0
         kept = np.ones(n, dtype=bool)
         weight = 1.0
-        distances = reuse_distances(codes, backend=distance_backend)
+        distances = reuse_distances(codes)
     else:
         kept = sample_mask(codes, sample_rate, seed)
         if n and not kept.any():
@@ -174,9 +173,7 @@ def mrc_from_addrs(
                 f"{n} references; raise the rate"
             )
         weight = 1.0 / sample_rate
-        distances = scale_distances(
-            reuse_distances(codes[kept], backend=distance_backend), sample_rate
-        )
+        distances = scale_distances(reuse_distances(codes[kept]), sample_rate)
 
     aggregate = StackDistanceHistogram.from_distances(
         distances, weight=weight, n_refs=n, line_size=line_size
@@ -225,7 +222,6 @@ def build_mrc(
     seed: int | None = None,
     max_refs: int | None = None,
     line_size: int = 64,
-    distance_backend: str = "sortmerge",
 ) -> MrcResult:
     """One MRC pass over ``workload``'s reference stream.
 
@@ -246,7 +242,6 @@ def build_mrc(
         sample_rate=sample_rate,
         seed=seed,
         line_size=line_size,
-        distance_backend=distance_backend,
     )
     if workload.consumed:
         workload.reset()

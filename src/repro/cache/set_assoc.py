@@ -2,7 +2,9 @@
 
 This is the model for all experiments — the paper simulates "a
 single-level set associative cache". The hit/miss engine itself lives in
-:mod:`repro.cache.kernels` behind a pluggable *backend* selector:
+:mod:`repro.cache.kernels`; this class is the one place a kernel is
+named (``backend=``), and with no name it runs
+:data:`~repro.cache.kernels.DEFAULT_BACKEND`:
 
 * ``"reference"`` — the original list-of-lists kernel, oldest-first per
   set; its sequential loop defines the semantics;
@@ -10,6 +12,10 @@ single-level set associative cache". The hit/miss engine itself lives in
   streaming chunks, bit-identical to the reference kernel;
 * ``"auto"`` (the default) — array, until a miss budget or a
   conflict-heavy RANDOM stream makes the reference kernel the faster one.
+
+Only the differential tests and the kernel benchmark name a kernel; a
+mechanism decorator moves the cache it wraps onto ``"reference"``
+(:meth:`SetAssociativeCache.prepare_line_access`).
 
 A miss-budgeted chunk is handed to the kernel as growing prefix windows
 sized from the cache's running refs-per-miss, so a chunk the budget cuts
@@ -63,10 +69,8 @@ class SetAssociativeCache(CacheComponent):
     ) -> None:
         super().__init__(config)
         self.prefetch_next_line = prefetch_next_line
-        #: Kernel backend in use; ``backend`` overrides ``config.backend``.
-        self.backend = resolve_backend(
-            backend if backend is not None else config.backend
-        )
+        #: Kernel backend in use; None means ``kernels.DEFAULT_BACKEND``.
+        self.backend = resolve_backend(backend)
         self._kernel = kernel_for_config(
             self.backend,
             config,
@@ -192,18 +196,19 @@ class SetAssociativeCache(CacheComponent):
 
         A direct transcription of the reference kernel's per-reference
         loop body, operating on its set state so victims are observable;
-        decorated stacks run on the reference kernel only (``make_cache``
-        forces the backend), hence the guard. The next-line prefetcher is
-        not supported here — :class:`~repro.cache.components.StreamBuffers`
-        is the composable replacement.
+        decorated stacks run on the reference kernel only (see
+        :meth:`prepare_line_access`), hence the guard. The next-line
+        prefetcher is not supported here —
+        :class:`~repro.cache.components.StreamBuffers` is the composable
+        replacement.
         """
         kernel = self._kernel
         sets = getattr(kernel, "_sets", None)
         if sets is None:
             raise SimulationError(
                 "per-line component access requires the reference kernel "
-                f"(have {kernel.name!r}); make_cache selects it for "
-                "decorated stacks"
+                f"(have {kernel.name!r}); wrapping the cache in a "
+                "decorator selects it"
             )
         if self.prefetch_next_line:
             raise SimulationError(
@@ -237,6 +242,24 @@ class SetAssociativeCache(CacheComponent):
         if write:
             dirty.add(line)
         return LineOutcome(True, evicted)
+
+    def prepare_line_access(self) -> None:
+        """Move a fresh cache onto the reference kernel, whose per-set line
+        lists :meth:`access_line` edits. Same seed, so the RANDOM eviction
+        stream is the one the cache would have drawn on any kernel."""
+        if self.backend == "reference":
+            return
+        if self.stats.accesses or self._kernel.contents_line_count():
+            raise SimulationError(
+                "wrap a cache in a decorator before its first access"
+            )
+        self.backend = "reference"
+        self._kernel = kernel_for_config(
+            self.backend,
+            self.config,
+            seed=self._kernel._seed,
+            prefetch_next_line=self.prefetch_next_line,
+        )
 
     def state_snapshot(self) -> object:
         return self._kernel.snapshot()

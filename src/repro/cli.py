@@ -25,7 +25,6 @@ import argparse
 import sys
 import time
 
-from repro.cache import KERNEL_BACKENDS
 from repro.experiments import (
     MECHANISM_CHOICES,
     ExperimentRunner,
@@ -107,16 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quick", action="store_true", help="reduced workload sizes (faster)"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(KERNEL_BACKENDS),
-        default=None,
-        help="cache kernel backend (default: the config's 'auto'); "
-        "backends are bit-identical: 'reference' is the plain loop, "
-        "'array' the vectorised path, and 'auto' runs 'array' until a "
-        "tool's miss budget or a conflict-heavy RANDOM stream favours "
-        "'reference'",
     )
     parser.add_argument(
         "--mechanism",
@@ -324,11 +313,12 @@ def _cache_command(args) -> int:
     if cache.manifest_path.exists():
         from repro.experiments.cache_store import Manifest
 
-        records = Manifest.load(cache.manifest_path)
+        records, torn = Manifest.read(cache.manifest_path)
         hits = sum(1 for r in records if r["cached"])
         print(
             f"manifest: {len(records)} task records, {hits} hits, "
             f"{len(records) - hits} misses"
+            + (f" ({torn} torn last line skipped)" if torn else "")
         )
     return 0
 
@@ -418,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
     runner = ExperimentRunner(
         RunnerConfig(
             seed=args.seed,
-            backend=args.backend,
             compile_streams=args.compile_streams,
             # The mechanisms sweep builds its own per-cell stacks, and the
             # shared-LLC sessions refuse decorated configs; runner-level

@@ -8,9 +8,8 @@ implemented from scratch here so the instrumentation cost model can charge
 cycles per probe/rotation/heap operation.
 """
 
-from repro.datastructs.fenwick import FenwickTree
 from repro.datastructs.rbtree import RedBlackTree
 from repro.datastructs.sorted_table import SortedTable
 from repro.datastructs.heap_pq import MaxPriorityQueue
 
-__all__ = ["FenwickTree", "RedBlackTree", "SortedTable", "MaxPriorityQueue"]
+__all__ = ["RedBlackTree", "SortedTable", "MaxPriorityQueue"]

@@ -277,6 +277,7 @@ class Manifest:
         self.records.append(rec)
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            _drop_torn_tail(self.path)
             with self.path.open("a") as fh:
                 fh.write(json.dumps(rec.as_dict(), sort_keys=True) + "\n")
         return rec
@@ -304,10 +305,41 @@ class Manifest:
     @staticmethod
     def load(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
         """Parse a manifest JSONL back into dicts (for tooling/tests)."""
+        return Manifest.read(path)[0]
+
+    @staticmethod
+    def read(path: str | os.PathLike[str]) -> tuple[list[dict[str, Any]], int]:
+        """Parse a manifest JSONL: its records, and how many torn lines
+        were skipped.
+
+        A writer killed mid-append can leave a partial last line; that
+        line is skipped and counted. An unparseable line anywhere else
+        is corruption and raises ``json.JSONDecodeError``.
+        """
+        lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
         out: list[dict[str, Any]] = []
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        for i, line in enumerate(lines):
+            try:
+                out.append(json.loads(line))
+            except json.JSONDecodeError:
+                if i < len(lines) - 1:
+                    raise
+                return out, 1
+        return out, 0
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut a partial last line (no newline) left in a manifest by a writer
+    killed mid-append, so the next record starts on a line of its own."""
+    try:
+        with path.open("rb+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end == 0:
+                return
+            fh.seek(end - 1)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            fh.truncate(fh.read().rfind(b"\n") + 1)
+    except FileNotFoundError:
+        return

@@ -115,11 +115,10 @@ class MultiCoreSpec:
 class SimSpec:
     """Declarative :class:`~repro.sim.engine.Simulator` configuration.
 
-    The cache kernel backend rides along in ``cache.backend`` (and
-    ``l1.backend``): :func:`~repro.experiments.cache_store.canonical`
-    hashes dataclasses field-by-field, so backend choice is part of every
-    task's cache key even though backends are bit-identical — a cached
-    result therefore always records which kernel produced it.
+    :func:`~repro.experiments.cache_store.canonical` hashes it
+    field-by-field into every task's cache key. Which bit-identical
+    cache kernel runs a cell is not part of the spec, so a cell is
+    cached once whatever kernel computed it.
     """
 
     cache: CacheConfig = field(default_factory=CacheConfig)
@@ -131,8 +130,8 @@ class SimSpec:
     prefetch_next_line: bool = False
     #: Lower workloads to precompiled reference streams before running
     #: (repro.workloads.compile). Bit-identical to the generator path,
-    #: but — like ``backend`` — folded into every task key so a cached
-    #: result records how it was produced. The on-disk stream cache
+    #: but folded into every task key so a cached result records how it
+    #: was produced. The on-disk stream cache
     #: location is a runtime concern (ParallelRunner/ExperimentRunner
     #: pass it alongside, outside the key).
     compile_streams: bool = False
@@ -511,7 +510,6 @@ def _open_session(
         workloads,
         llc_config=spec.sim.cache,
         l1_config=spec.sim.l1,
-        backend=None,
         seed=spec.seed,
         n_region_counters=spec.sim.n_region_counters,
         multiplexed_counters=spec.sim.multiplexed_counters,

@@ -67,28 +67,21 @@ class RunnerConfig:
     period_scale: float = 1.0
     #: Workload size knobs forwarded to each factory (quick mode shrinks).
     workload_kwargs: dict = None
-    #: Cache kernel backend override ("reference"/"array"/"auto"); None
-    #: keeps the cache config's own selection. Backends are bit-identical,
-    #: but the choice is folded into ``cache`` so every TaskSpec key
-    #: carries it.
-    backend: str = None
     #: Lower workloads to precompiled reference streams before running
     #: (repro.workloads.compile); bit-identical speed knob, carried into
     #: task keys via SimSpec. The stream cache shares the runner's
     #: ``cache_dir``.
     compile_streams: bool = False
     #: Mechanism decorator stack applied to the cache (a spec tuple or a
-    #: compact string like ``"vc+sb"`` — see repro.cache.config). Unlike
-    #: ``backend`` this *changes simulated behaviour*; it is folded into
-    #: ``cache`` so every TaskSpec key carries it. None keeps the cache
-    #: config's own ``mechanisms``.
+    #: compact string like ``"vc+sb"`` — see repro.cache.config). It
+    #: *changes simulated behaviour*, so it is folded into ``cache`` and
+    #: every TaskSpec key carries it. None keeps the cache config's own
+    #: ``mechanisms``.
     mechanisms: "str | tuple | None" = None
 
     def __post_init__(self) -> None:
         if self.cache is None:
             self.cache = CacheConfig()
-        if self.backend is not None:
-            self.cache = dataclasses.replace(self.cache, backend=self.backend)
         if self.mechanisms is not None:
             self.cache = dataclasses.replace(
                 self.cache, mechanisms=self.mechanisms

@@ -100,7 +100,6 @@ class Simulator:
         chunk_size: int = 1 << 15,
         l1_config: CacheConfig | None = None,
         prefetch_next_line: bool = False,
-        backend: str | None = None,
         compile_streams: bool = False,
         stream_cache_dir: "str | None" = None,
     ) -> None:
@@ -109,9 +108,6 @@ class Simulator:
         self.cache_config = cache_config or CacheConfig()
         self.l1_config = l1_config
         self.prefetch_next_line = prefetch_next_line
-        #: Cache kernel backend override; None defers to the config's
-        #: ``backend`` field. Backends are bit-identical (speed knob only).
-        self.backend = backend
         #: Lower workloads to precompiled reference streams before
         #: running (see repro.workloads.compile) — bit-identical, much
         #: faster for uninstrumented runs. Workloads that cannot be
@@ -156,7 +152,6 @@ class Simulator:
             seed=self.seed,
             l1_config=self.l1_config,
             prefetch_next_line=self.prefetch_next_line,
-            backend=self.backend,
         )
         monitor = PerformanceMonitor(
             self.n_region_counters,

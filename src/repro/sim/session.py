@@ -1219,7 +1219,6 @@ class MultiCoreSession:
         *,
         llc_config,
         l1_config=None,
-        backend: str | None = None,
         seed: int | None = None,
         n_region_counters: int = 10,
         multiplexed_counters: bool = False,
@@ -1279,7 +1278,7 @@ class MultiCoreSession:
             )
         cost = cost_model if cost_model is not None else CostModel()
 
-        shared = make_shared_level(llc_config, backend=backend, seed=seed)
+        shared = make_shared_level(llc_config, seed=seed)
         cores: list[CoreContext] = []
         for core_id, workload in enumerate(workloads):
             offset = core_id * CORE_STRIDE
@@ -1287,9 +1286,7 @@ class MultiCoreSession:
             # space, so the object map, ground truth and generated
             # addresses all live in the core's namespace from the start.
             workload.address_offset = offset
-            pipeline = core_pipeline(
-                shared, core_id, l1=l1_config, backend=backend, seed=seed
-            )
+            pipeline = core_pipeline(shared, core_id, l1=l1_config, seed=seed)
             monitor = PerformanceMonitor(
                 n_region_counters,
                 multiplexed=multiplexed_counters,

@@ -9,6 +9,7 @@ ones) be fed through the same engine.
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -76,5 +77,7 @@ def load_trace(path) -> list[ReferenceBlock]:
                     )
                 )
             return blocks
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        # A truncated archive loses its zip directory (BadZipFile) or ends
+        # inside a member (EOFError).
         raise TraceError(f"cannot load trace {path}: {exc}") from exc

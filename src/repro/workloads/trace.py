@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from pathlib import Path
 from typing import Iterator
 
@@ -68,7 +69,7 @@ def sniff_trace_format(path: "str | Path") -> str:
         try:
             with gzip.open(path, "rb") as fh:
                 inner = fh.read(2)
-        except OSError as exc:
+        except (EOFError, OSError, zlib.error) as exc:
             raise TraceError(f"corrupt gzip trace {path}: {exc}") from exc
         return "npz.gz" if inner == _ZIP_MAGIC else "text.gz"
     return "text"
@@ -137,6 +138,8 @@ def read_text_trace(
             writes.append(parts[0].upper() == "W")
             if len(addrs) >= block_refs:
                 flush()
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{name}: not a UTF-8 text trace ({exc})") from None
     finally:
         if not hasattr(source, "read"):
             lines.close()
@@ -157,15 +160,20 @@ def load_any_trace(path: "str | Path") -> list[ReferenceBlock]:
     fmt = sniff_trace_format(path)
     if fmt == "npz":
         return load_trace(path)
-    if fmt == "npz.gz":
-        # np.load wants a seekable file; a GzipFile only emulates seeks,
-        # so decompress into memory (traces are chunked arrays, not huge).
-        with gzip.open(path, "rb") as fh:
-            return load_trace(io.BytesIO(fh.read()))
-    if fmt == "text.gz":
+    if fmt == "text":
+        return read_text_trace(path)
+    try:
+        if fmt == "npz.gz":
+            # np.load wants a seekable file; a GzipFile only emulates seeks,
+            # so decompress into memory (traces are chunked arrays, not huge).
+            with gzip.open(path, "rb") as fh:
+                return load_trace(io.BytesIO(fh.read()))
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             return read_text_trace(fh)
-    return read_text_trace(path)
+    except (EOFError, OSError, zlib.error) as exc:
+        # A truncated stream ends early (EOFError); a damaged one fails
+        # its CRC or inflate step (OSError, zlib.error).
+        raise TraceError(f"corrupt gzip trace {path}: {exc}") from exc
 
 
 def import_trace(source: "str | Path", dest: "str | Path") -> Path:

@@ -11,7 +11,7 @@ from repro.analysis.reuse import (
     miss_ratio_curve,
     reuse_distances,
 )
-from repro.datastructs import FenwickTree
+from tests.mrc.fenwick import FenwickTree
 
 
 def addrs_of_lines(line_numbers, line_size=64):
@@ -34,7 +34,7 @@ def naive_distances(lines):
 
 
 class TestFenwick:
-    """The shared tree the distance pass builds on (repro.datastructs)."""
+    """The tree the Olken stack-distance oracle builds on (tests/mrc)."""
 
     def test_prefix_sums(self):
         f = FenwickTree(10)

@@ -1,6 +1,6 @@
 """The "auto" kernel backend: decision logic and bit-identity.
 
-``backend="auto"`` starts on the array kernel, watches a probe window,
+The ``"auto"`` kernel (the shipped default) starts on the array kernel, watches a probe window,
 and switches to the reference kernel only for conflict-heavy RANDOM
 replacement (the one regime where the array kernel's sequential
 fallback loses to the plain loop). Whatever it decides, results must be
@@ -14,6 +14,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.kernels.auto import PROBE_REFS, AutoKernel
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from tests.conftest import pinned_kernel
 
 CFG_LRU = dict(size=16 * 1024, line_size=64, assoc=4)
 
@@ -24,8 +25,8 @@ def _uniform(n, n_lines, seed=3):
 
 
 def _run(backend, addrs, policy=ReplacementPolicy.LRU, chunk=1 << 14):
-    cfg = CacheConfig(policy=policy, backend=backend, **CFG_LRU)
-    cache = SetAssociativeCache(cfg, seed=7)
+    cfg = CacheConfig(policy=policy, **CFG_LRU)
+    cache = SetAssociativeCache(cfg, seed=7, backend=backend)
     for pos in range(0, len(addrs), chunk):
         cache.access(addrs[pos : pos + chunk])
     return cache
@@ -33,7 +34,7 @@ def _run(backend, addrs, policy=ReplacementPolicy.LRU, chunk=1 << 14):
 
 class TestDecision:
     def test_config_backend_auto_builds_the_auto_kernel(self):
-        cache = SetAssociativeCache(CacheConfig(backend="auto", **CFG_LRU), seed=7)
+        cache = SetAssociativeCache(CacheConfig(**CFG_LRU), seed=7, backend="auto")
         assert isinstance(cache._kernel, AutoKernel)
 
     def test_lru_stays_on_the_array_kernel(self):
@@ -84,10 +85,9 @@ class TestSnapshot:
         state = cache._kernel.snapshot()
 
         fresh = SetAssociativeCache(
-            CacheConfig(
-                policy=ReplacementPolicy.RANDOM, backend="auto", **CFG_LRU
-            ),
+            CacheConfig(policy=ReplacementPolicy.RANDOM, **CFG_LRU),
             seed=7,
+            backend="auto",
         )
         fresh._kernel.restore(state)
         assert fresh._kernel._decided
@@ -106,9 +106,7 @@ class TestSnapshot:
         kernel = cache._kernel
         assert not kernel._decided
         state = kernel.snapshot()
-        fresh = SetAssociativeCache(
-            CacheConfig(backend="auto", **CFG_LRU), seed=7
-        )
+        fresh = SetAssociativeCache(CacheConfig(**CFG_LRU), seed=7, backend="auto")
         fresh._kernel.restore(state)
         assert not fresh._kernel._decided
         assert fresh._kernel._probe_refs == kernel._probe_refs
@@ -119,8 +117,8 @@ class TestBudgetCommit:
     """A miss budget commits the auto kernel to the reference backend."""
 
     def _cache(self, policy=ReplacementPolicy.LRU):
-        cfg = CacheConfig(policy=policy, backend="auto", **CFG_LRU)
-        return SetAssociativeCache(cfg, seed=7)
+        cfg = CacheConfig(policy=policy, **CFG_LRU)
+        return SetAssociativeCache(cfg, seed=7, backend="auto")
 
     def test_first_budgeted_access_switches_for_good(self):
         cache = self._cache()
@@ -176,27 +174,25 @@ class TestBudgetCommit:
                 {"A": (64 * 1024, 100)}, rounds=2, lines_per_round=1500, seed=3
             )
 
-        cfg = CacheConfig(
-            size=16 * 1024, assoc=4, policy=ReplacementPolicy.RANDOM,
-            backend="auto",
-        )
+        cfg = CacheConfig(size=16 * 1024, assoc=4, policy=ReplacementPolicy.RANDOM)
         sanitize.reset_checks()
         sanitize.activate()
         try:
-            session = Simulator(cfg, seed=5).start_session(
-                workload(), tool=SamplingProfiler(period=701)
-            )
-            session.step()
-            kernel = session.cache._kernel
-            assert kernel._inner.name == "reference"
-            assert kernel._inner._rand_draws > 0
-            sanitize.verify_kernel_rng(kernel)
-            # Restoring verifies the replay at the restore boundary too.
-            resumed = SimulationSession.restore(session.snapshot(), workload())
-            assert resumed.cache._kernel._inner.name == "reference"
-            resumed.run()
-            sanitize.verify_cache_rng(resumed.cache)
-            assert sanitize.checks_run()["rng.replay"] >= 3
+            with pinned_kernel("auto"):
+                session = Simulator(cfg, seed=5).start_session(
+                    workload(), tool=SamplingProfiler(period=701)
+                )
+                session.step()
+                kernel = session.cache._kernel
+                assert kernel._inner.name == "reference"
+                assert kernel._inner._rand_draws > 0
+                sanitize.verify_kernel_rng(kernel)
+                # Restoring verifies the replay at the restore boundary too.
+                resumed = SimulationSession.restore(session.snapshot(), workload())
+                assert resumed.cache._kernel._inner.name == "reference"
+                resumed.run()
+                sanitize.verify_cache_rng(resumed.cache)
+                assert sanitize.checks_run()["rng.replay"] >= 3
         finally:
             sanitize.deactivate()
             sanitize.reset_checks()

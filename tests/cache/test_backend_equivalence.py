@@ -9,7 +9,6 @@ end the observable set state (per-set residency order, dirty counts) must
 match too, so a divergence can never hide between chunks.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import TwoLevelCache
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from tests.conftest import pinned_kernel
 
 POLICIES = list(ReplacementPolicy)
 
@@ -206,10 +206,11 @@ class TestHierarchyBackends:
     def make_pair(self, seed=9):
         l1 = CacheConfig(size=4 * 1024, assoc=2)
         l2 = CacheConfig(size=64 * 1024, assoc=4)
-        return (
-            TwoLevelCache(l1, l2, backend="reference", seed=seed),
-            TwoLevelCache(l1, l2, backend="array", seed=seed),
-        )
+        with pinned_kernel("reference"):
+            ref = TwoLevelCache(l1, l2, seed=seed)
+        with pinned_kernel("array"):
+            arr = TwoLevelCache(l1, l2, seed=seed)
+        return ref, arr
 
     def test_hierarchy_equivalence_with_budgets(self):
         ref, arr = self.make_pair()
@@ -231,7 +232,7 @@ class TestHierarchyBackends:
 
 
 class TestEndToEnd:
-    """Whole-pipeline equality: simulated runs and experiment-grid keys."""
+    """Whole-pipeline equality of simulated runs."""
 
     def test_simulator_runs_identical(self):
         from repro.core.sampling import SamplingProfiler
@@ -240,14 +241,11 @@ class TestEndToEnd:
 
         results = {}
         for backend in ("reference", "array"):
-            sim = Simulator(
-                CacheConfig(size=256 * 1024, assoc=4),
-                seed=99,
-                backend=backend,
-            )
+            sim = Simulator(CacheConfig(size=256 * 1024, assoc=4), seed=99)
             wl = make_workload("tomcatv", seed=99, n_steps=4, rows_per_step=16)
             tool = SamplingProfiler(period=2048, seed=99)
-            results[backend] = sim.run(wl, tool=tool)
+            with pinned_kernel(backend):
+                results[backend] = sim.run(wl, tool=tool)
         a, b = results["reference"], results["array"]
         assert a.stats.app_refs == b.stats.app_refs
         assert a.stats.app_misses == b.stats.app_misses
@@ -257,17 +255,3 @@ class TestEndToEnd:
         assert len(a.stats.interrupts) == len(b.stats.interrupts)
         assert a.actual.as_dict() == b.actual.as_dict()
         assert a.measured.as_dict() == b.measured.as_dict()
-
-    def test_backend_is_part_of_task_key(self):
-        from repro.experiments.parallel import SimSpec, TaskSpec
-
-        def key_for(backend):
-            cfg = CacheConfig(size=256 * 1024, assoc=4, backend=backend)
-            return TaskSpec(workload="tomcatv", sim=SimSpec(cache=cfg)).key()
-
-        assert key_for("reference") != key_for("array")
-
-    def test_backend_flows_from_config_replace(self):
-        cfg = dataclasses.replace(CacheConfig(), backend="array")
-        cache = SetAssociativeCache(cfg)
-        assert cache.backend == "array"

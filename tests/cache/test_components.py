@@ -2,7 +2,8 @@
 
 Covers the ISSUE-8 protocol contracts: leaf evolution is untouched by
 decoration, every ledger's counters reconcile across the stack,
-``backend="auto"``/``"array"`` never mis-dispatch a decorated config,
+an ``"auto"``/``"array"`` default kernel never mis-dispatches a
+decorated config,
 and budget-limited chunking is equivalent to unsplit access. Property
 tests drive random streams through every stack shape.
 """
@@ -29,7 +30,8 @@ from repro.cache import (
     parse_mechanisms,
     wrap_mechanisms,
 )
-from repro.errors import CacheConfigError
+from repro.errors import CacheConfigError, SimulationError
+from tests.conftest import pinned_kernel
 
 pytestmark = pytest.mark.mechanisms
 
@@ -119,15 +121,23 @@ class TestDispatch:
     @pytest.mark.parametrize("backend", ["auto", "array", None])
     def test_decorated_stack_forces_reference_kernel(self, backend):
         cfg = dataclasses.replace(CFG, mechanisms="vc+sb")
-        cache = make_cache(cfg, backend=backend)
+        with pinned_kernel(backend):
+            cache = make_cache(cfg)
         leaf = cache.inner.inner
         assert leaf._kernel.name == "reference"
         # And it actually runs (the array kernel would lack _sets).
         cache.access(conflict_stream(5))
 
+    def test_wrapping_a_used_cache_is_refused(self):
+        cache = SetAssociativeCache(CFG, backend="array")
+        cache.access(conflict_stream(5))
+        with pytest.raises(SimulationError, match="before its first access"):
+            VictimCache(cache, entries=4)
+
     @pytest.mark.parametrize("backend", ["auto", "array"])
     def test_undecorated_dispatch_unchanged(self, backend):
-        cache = make_cache(CFG, backend=backend)
+        with pinned_kernel(backend):
+            cache = make_cache(CFG)
         assert cache._kernel.name == backend
 
 

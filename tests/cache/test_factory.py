@@ -10,6 +10,7 @@ from repro.cache import (
     make_cache,
 )
 from repro.errors import CacheConfigError
+from tests.conftest import SHIPPED_BACKEND, pinned_kernel
 
 
 class TestMakeCache:
@@ -60,73 +61,72 @@ class TestSimulatorValidation:
 
 
 class TestBackendSelection:
-    """The backend knob threads from CacheConfig / make_cache overrides
-    down to the kernel actually instantiated."""
+    """No product knob picks the kernel: every cache runs
+    ``kernels.DEFAULT_BACKEND`` (rebound here by :func:`pinned_kernel`)
+    unless ``SetAssociativeCache`` is handed a name."""
 
     def test_registry_contents(self):
-        from repro.cache import KERNEL_BACKENDS, resolve_backend
+        from repro.cache import kernels
+        from repro.cache.kernels import KERNEL_BACKENDS, resolve_backend
 
         assert KERNEL_BACKENDS == ("reference", "array", "auto")
-        assert resolve_backend(None) == "auto"
+        assert SHIPPED_BACKEND == "auto"
+        assert resolve_backend(None) == kernels.DEFAULT_BACKEND
         assert resolve_backend("array") == "array"
 
     def test_unknown_backend_rejected(self):
-        from repro.cache import resolve_backend
+        from repro.cache.kernels import resolve_backend
 
         with pytest.raises(CacheConfigError):
             resolve_backend("turbo")
         with pytest.raises(CacheConfigError):
-            CacheConfig(size=64 * 1024, backend="turbo")
+            SetAssociativeCache(CacheConfig(size=64 * 1024), backend="turbo")
+        with pytest.raises(TypeError):
+            CacheConfig(size=64 * 1024, backend="array")
 
     def test_config_backend_reaches_kernel(self):
-        cfg = CacheConfig(size=64 * 1024, assoc=4, backend="array")
-        cache = make_cache(cfg)
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        with pinned_kernel("array"):
+            cache = make_cache(cfg)
         assert isinstance(cache, SetAssociativeCache)
         assert cache.backend == "array"
         assert cache._kernel.name == "array"
 
     def test_override_beats_config(self):
-        cfg = CacheConfig(size=64 * 1024, assoc=4, backend="reference")
-        cache = make_cache(cfg, backend="array")
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        with pinned_kernel("reference"):
+            cache = SetAssociativeCache(cfg, backend="array")
         assert cache.backend == "array"
         assert cache._kernel.name == "array"
 
     def test_direct_mapped_serves_both_backends(self):
         for backend in ("reference", "array"):
-            cache = make_cache(
-                CacheConfig(size=64 * 1024, assoc=1), backend=backend
-            )
+            with pinned_kernel(backend):
+                cache = make_cache(CacheConfig(size=64 * 1024, assoc=1))
             assert isinstance(cache, DirectMappedCache)
-            assert cache.backend == backend
 
     def test_hierarchy_backend_propagates_to_both_levels(self):
-        cache = make_cache(
-            CacheConfig(size=64 * 1024, assoc=4),
-            l1_config=CacheConfig(size=8 * 1024, assoc=2),
-            backend="array",
-        )
+        with pinned_kernel("array"):
+            cache = make_cache(
+                CacheConfig(size=64 * 1024, assoc=4),
+                l1_config=CacheConfig(size=8 * 1024, assoc=2),
+            )
         assert isinstance(cache, TwoLevelCache)
-        assert cache.backend == "array"
         assert cache._l1.name == "array"
         assert cache._l2.name == "array"
 
     def test_simulator_threads_backend(self):
         from repro.sim.engine import Simulator
+        from repro.workloads.registry import make_workload
 
-        sim = Simulator(CacheConfig(size=64 * 1024, assoc=4), backend="array")
-        assert sim.backend == "array"
+        sim = Simulator(CacheConfig(size=64 * 1024, assoc=4))
+        workload = make_workload("tomcatv", seed=1, n_steps=1, rows_per_step=8)
+        with pinned_kernel("array"):
+            session = sim.start_session(workload)
+        assert session.cache._kernel.name == "array"
 
-    def test_runner_config_applies_backend_to_cache(self):
-        from repro.experiments.runner import RunnerConfig
-
-        cfg = RunnerConfig(seed=1, backend="array")
-        assert cfg.cache.backend == "array"
-        assert RunnerConfig(seed=1).cache.backend == "auto"
-
-    def test_cli_exposes_backend_flag(self):
+    def test_cli_rejects_backend_flag(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["table1", "--backend", "array"])
-        assert args.backend == "array"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["table1", "--backend", "turbo"])
+            build_parser().parse_args(["table1", "--backend", "array"])

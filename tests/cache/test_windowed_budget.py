@@ -23,9 +23,9 @@ CFG = dict(size=LINE * 4 * 16, line_size=LINE, assoc=4)
 
 
 def _cache(backend, policy, mode, seed):
-    cfg = CacheConfig(policy=policy, backend=backend, **CFG)
+    cfg = CacheConfig(policy=policy, **CFG)
     return SetAssociativeCache(
-        cfg, seed=seed, prefetch_next_line=mode == "prefetch"
+        cfg, seed=seed, prefetch_next_line=mode == "prefetch", backend=backend
     )
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures for the repro test suite.
 
-``REPRO_BACKEND=array`` (or ``reference``) reruns the suite with the
-shared fixtures on that cache kernel backend — the CI matrix uses this to
-prove the whole pipeline, golden outputs included, is backend-agnostic.
-Tests that pin a backend explicitly (the differential harness, the unit
-tests of one kernel) are unaffected.
+``REPRO_BACKEND=array`` (or ``reference``, ``auto``) rebinds
+``repro.cache.kernels.DEFAULT_BACKEND`` once for the session, so every
+cache the suite builds runs that kernel — the CI matrix uses this to
+prove the whole pipeline, golden outputs included, is kernel-agnostic.
+There is no product knob for it. Tests that need one kernel name it on
+``SetAssociativeCache(..., backend=)``, or build their stack inside
+:func:`pinned_kernel`.
 
 ``REPRO_MRC_SAMPLE_RATE`` (a fraction in (0, 1], default 0.25) scales
 the stream lengths the MRC accuracy harness (``tests/mrc/``, marker
@@ -16,16 +18,20 @@ score the full streams.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, SetAssociativeCache
+from repro.cache import CacheConfig, SetAssociativeCache, kernels
 from repro.memory import AddressSpace, HeapAllocator, ObjectMap, SymbolTable
 from repro.sim.engine import Simulator
 
-#: Backend override for shared fixtures; None = the configs' default.
+#: The kernel the package ships as its default, before any session pin.
+SHIPPED_BACKEND = kernels.DEFAULT_BACKEND
+
+#: Kernel the whole session runs on; None = the shipped default.
 ENV_BACKEND = os.environ.get("REPRO_BACKEND") or None
 
 #: Fraction of each workload's stream the MRC accuracy harness consumes.
@@ -34,7 +40,21 @@ MRC_SAMPLE_RATE = min(
 )
 
 
+@contextlib.contextmanager
+def pinned_kernel(backend: "str | None"):
+    """Caches constructed inside the block run ``backend``'s kernel
+    (None keeps the session's)."""
+    saved = kernels.DEFAULT_BACKEND
+    kernels.DEFAULT_BACKEND = kernels.resolve_backend(backend or saved)
+    try:
+        yield
+    finally:
+        kernels.DEFAULT_BACKEND = saved
+
+
 def pytest_configure(config):
+    if ENV_BACKEND is not None:
+        kernels.DEFAULT_BACKEND = kernels.resolve_backend(ENV_BACKEND)
     config.addinivalue_line(
         "markers",
         "mrc: MRC-vs-exact-simulator accuracy harness (stream length "
@@ -66,14 +86,12 @@ def small_cfg() -> CacheConfig:
 
 @pytest.fixture
 def small_cache(small_cfg) -> SetAssociativeCache:
-    return SetAssociativeCache(small_cfg, backend=ENV_BACKEND)
+    return SetAssociativeCache(small_cfg)
 
 
 @pytest.fixture
 def sim() -> Simulator:
-    return Simulator(
-        CacheConfig(size=64 * 1024, assoc=4), seed=7, backend=ENV_BACKEND
-    )
+    return Simulator(CacheConfig(size=64 * 1024, assoc=4), seed=7)
 
 
 @pytest.fixture
@@ -110,6 +128,4 @@ def quick_runner():
     """A shared quick-mode experiment runner (baselines cached)."""
     from repro.experiments.runner import ExperimentRunner, RunnerConfig
 
-    return ExperimentRunner(
-        RunnerConfig(seed=99, backend=ENV_BACKEND), quick=True
-    )
+    return ExperimentRunner(RunnerConfig(seed=99), quick=True)

@@ -1,6 +1,9 @@
 """Tests for the persistent result cache and run manifest."""
 
+import json
 import pickle
+
+import pytest
 
 from repro.cache import CacheConfig
 from repro.experiments.cache_store import (
@@ -10,7 +13,8 @@ from repro.experiments.cache_store import (
     code_version_tag,
     stable_hash,
 )
-from repro.experiments.parallel import SimSpec, TaskSpec, ToolSpec
+from repro.experiments.parallel import ParallelRunner, SimSpec, TaskSpec, ToolSpec
+from tests.conftest import pinned_kernel
 
 
 class TestStableHash:
@@ -138,6 +142,55 @@ class TestManifest:
         assert rec["seed"] == 9
         assert rec["cached"] is False
 
+    @staticmethod
+    def _torn(path):
+        """A manifest whose writer was killed mid-append: two records,
+        then half of a third with no newline."""
+        m = Manifest(path=path)
+        for i in (1, 2):
+            m.record(
+                task=f"t{i}", workload="swim", seed=i, key=f"k{i}",
+                cached=i == 2, wall_s=0.1,
+            )
+        line = path.read_text().splitlines()[0]
+        with path.open("a") as fh:
+            fh.write(line[: len(line) // 2])
+        return path
+
+    def test_torn_final_line_skipped(self, tmp_path):
+        path = self._torn(tmp_path / "manifest.jsonl")
+        records, torn = Manifest.read(path)
+        assert [r["key"] for r in records] == ["k1", "k2"]
+        assert torn == 1
+        assert len(Manifest.load(path)) == 2
+
+    def test_earlier_bad_line_raises(self, tmp_path):
+        path = self._torn(tmp_path / "manifest.jsonl")
+        with path.open("a") as fh:
+            fh.write("\n" + path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(json.JSONDecodeError):
+            Manifest.read(path)
+
+    def test_record_after_a_torn_line_starts_clean(self, tmp_path):
+        path = self._torn(tmp_path / "manifest.jsonl")
+        Manifest(path=path).record(
+            task="t3", workload="swim", seed=3, key="k3",
+            cached=False, wall_s=0.1,
+        )
+        records, torn = Manifest.read(path)
+        assert [r["key"] for r in records] == ["k1", "k2", "k3"]
+        assert torn == 0
+
+    def test_cache_command_reports_the_torn_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache = ResultCache(tmp_path / "cache")
+        self._torn(cache.manifest_path)
+        assert main(["cache", "--cache-dir", str(cache.root)]) == 0
+        out = capsys.readouterr().out
+        assert "manifest: 2 task records, 1 hits, 1 misses" in out
+        assert "1 torn last line skipped" in out
+
 
 class TestCodeVersionTag:
     def test_kernel_sources_participate_in_version_tag(self):
@@ -151,10 +204,31 @@ class TestCodeVersionTag:
                 n.endswith(f"cache/kernels/{module}.py") for n in names
             ), module
 
-    def test_backend_distinguishes_task_keys(self):
-        def key_for(backend):
-            cfg = CacheConfig(size=256 * 1024, assoc=4, backend=backend)
-            return TaskSpec(workload="swim", sim=SimSpec(cache=cfg)).key()
+    def test_kernels_share_cache_entries(self, tmp_path):
+        """The kernel is not part of a cell's key: a cell computed on one
+        kernel is a hit for every other, and holds what they compute."""
+        spec = TaskSpec(
+            workload="synthetic-streams",
+            workload_kwargs={
+                "spec": {"a": (64 * 1024, 60), "b": (32 * 1024, 40)},
+                "rounds": 3,
+                "lines_per_round": 1500,
+            },
+            seed=7,
+            tool=ToolSpec("sampling", {"period": 97, "seed": 3}),
+            sim=SimSpec(cache=CacheConfig(size=32 * 1024, assoc=2)),
+        )
+        cache = ResultCache(tmp_path / "cache")
+        first = ParallelRunner(jobs=1, cache=cache)
+        with pinned_kernel("array"):
+            (warm,) = first.run([spec])
+        assert first.manifest.counts() == {"hit": 0, "miss": 1}
 
-        assert key_for("reference") != key_for("array")
-        assert key_for("array") == key_for("array")  # still deterministic
+        second = ParallelRunner(jobs=1, cache=cache)
+        (served,) = second.run([spec])
+        assert second.manifest.counts() == {"hit": 1, "miss": 0}
+        assert served.stats == warm.stats
+
+        with pinned_kernel("reference"):
+            (fresh,) = ParallelRunner(jobs=1).run([spec])
+        assert fresh.stats == warm.stats

@@ -1,10 +1,9 @@
 """Fenwick (binary-indexed) tree: prefix sums over a mutable array.
 
-The MRC engine's reference stack-distance pass is Olken's algorithm — a
-Fenwick tree counts the still-live last-access timestamps, so "distinct
+The Olken stack-distance oracle (:mod:`tests.mrc.oracles`) is built on
+it — the tree counts the still-live last-access timestamps, so "distinct
 lines touched since this line's previous access" is one prefix-sum query
-per reference (see :mod:`repro.cache.mrc.distances`). The reuse-distance
-analysis in :mod:`repro.analysis.reuse` shares this structure.
+per reference.
 
 All operations are integer-exact; indices are 0-based externally and
 1-based internally (the classic lowbit layout).

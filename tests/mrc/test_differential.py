@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.workloads.compile import compiled_stream_for
 from repro.workloads.registry import make_workload, workload_names
 
-from tests.conftest import ENV_BACKEND
+from tests.conftest import ENV_BACKEND, pinned_kernel
 
 pytestmark = pytest.mark.mrc
 
@@ -95,10 +95,10 @@ def test_exact_pass_bit_for_bit_vs_simulator(app, streams, mrc_sample_fraction):
             size=size,
             line_size=64,
             assoc=size // 64,  # one set: fully associative LRU
-            backend=ENV_BACKEND or "array",
         )
         sim = Simulator(cache_config=cfg, cost_model=CostModel(), seed=SEED)
-        run = sim.run(_quick(app), max_refs=n, ground_truth=False)
+        with pinned_kernel(ENV_BACKEND or "array"):
+            run = sim.run(_quick(app), max_refs=n, ground_truth=False)
         assert run.stats.app_refs == result.n_refs
         assert int(round(result.misses(size))) == run.stats.app_misses, (
             f"{app} @ {size}: exact Mattson pass diverged from the "
@@ -131,9 +131,10 @@ def test_per_object_shares_track_ground_truth(app, streams, mrc_sample_fraction)
     n = _n_refs(compiled, mrc_sample_fraction)
     size = 65536
     result = build_mrc(_quick(app), compiled=compiled, mode="exact", max_refs=n)
-    cfg = CacheConfig(size=size, line_size=64, assoc=size // 64, backend="array")
+    cfg = CacheConfig(size=size, line_size=64, assoc=size // 64)
     sim = Simulator(cache_config=cfg, cost_model=CostModel(), seed=SEED)
-    run = sim.run(_quick(app), max_refs=n, ground_truth=True)
+    with pinned_kernel("array"):
+        run = sim.run(_quick(app), max_refs=n, ground_truth=True)
     truth = {o.name: c for o, c in run.ground_truth.ranked()}
     predicted = {
         name: int(round(result.misses(size, name=name)))

@@ -1,4 +1,5 @@
-"""Stack-distance pass: both backends against a brute-force oracle."""
+"""Stack-distance pass: the shipped pass and both test oracles against a
+brute-force LRU stack."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ from hypothesis import strategies as st
 
 from repro.cache.mrc import (
     COLD,
-    DISTANCE_BACKENDS,
     MrcError,
     lines_of,
-    prefix_rank_leq,
     previous_occurrence,
     reuse_distances,
     self_rank_leq,
 )
+from tests.mrc.oracles import PASSES, prefix_rank_leq
 
 streams = st.lists(st.integers(0, 14), min_size=0, max_size=150)
 
@@ -40,36 +40,29 @@ class TestReuseDistances:
         assert d.tolist() == [COLD, COLD, COLD, 1, 2]
 
     def test_empty(self):
-        for backend in DISTANCE_BACKENDS:
-            assert len(reuse_distances(np.array([], dtype=np.int64), backend)) == 0
+        for backend in PASSES:
+            assert len(PASSES[backend](np.array([], dtype=np.int64))) == 0
 
-    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
+    @pytest.mark.parametrize("backend", PASSES)
     @settings(max_examples=60, deadline=None)
     @given(streams)
     def test_every_backend_matches_stack_oracle(self, backend, lines):
-        got = reuse_distances(np.asarray(lines, dtype=np.int64), backend)
+        got = PASSES[backend](np.asarray(lines, dtype=np.int64))
         assert got.tolist() == naive_distances(lines)
 
     @settings(max_examples=60, deadline=None)
     @given(streams)
     def test_backends_bit_identical(self, lines):
         codes = np.asarray(lines, dtype=np.int64)
-        results = [
-            reuse_distances(codes, backend).tolist()
-            for backend in DISTANCE_BACKENDS
-        ]
+        results = [PASSES[backend](codes).tolist() for backend in PASSES]
         assert all(r == results[0] for r in results[1:])
 
     def test_backends_bit_identical_large_random(self):
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 5000, 60_000)
-        baseline = reuse_distances(codes, DISTANCE_BACKENDS[0])
-        for backend in DISTANCE_BACKENDS[1:]:
-            assert np.array_equal(baseline, reuse_distances(codes, backend))
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(MrcError, match="unknown distance backend"):
-            reuse_distances(np.array([1, 2]), backend="quantum")
+        baseline = reuse_distances(codes)
+        for backend in ("fenwick", "offline"):
+            assert np.array_equal(baseline, PASSES[backend](codes))
 
     def test_rejects_2d(self):
         with pytest.raises(MrcError, match="1-D"):

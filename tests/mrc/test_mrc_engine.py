@@ -9,7 +9,9 @@ from repro.cache.mrc import (
     mrc_from_addrs,
     select_verification_sizes,
 )
+from repro.cache.mrc import engine
 from repro.workloads.registry import make_workload
+from tests.mrc.oracles import PASSES
 
 
 def interleaved_stream(objects, lines_each, repeats):
@@ -34,11 +36,12 @@ class TestMrcFromAddrs:
             assert exact.miss_ratio(size) == full.miss_ratio(size)
 
     @pytest.mark.parametrize("backend", ("fenwick", "offline"))
-    def test_backends_agree_end_to_end(self, backend):
+    def test_backends_agree_end_to_end(self, backend, monkeypatch):
         rng = np.random.default_rng(2)
         addrs = rng.integers(0, 1 << 18, 30_000).astype(np.uint64)
-        a = mrc_from_addrs(addrs)  # default: sortmerge
-        b = mrc_from_addrs(addrs, distance_backend=backend)
+        a = mrc_from_addrs(addrs)  # the shipped pass: sortmerge
+        monkeypatch.setattr(engine, "reuse_distances", PASSES[backend])
+        b = mrc_from_addrs(addrs)
         for size in (4096, 32768, 262144):
             assert a.misses(size) == b.misses(size)
 

@@ -17,7 +17,6 @@ from repro.cache import (
     ReplacementPolicy,
     SetAssociativeCache,
     TwoLevelCache,
-    make_cache,
     wrap_mechanisms,
 )
 from repro.core.sampling import SamplingProfiler
@@ -148,7 +147,7 @@ class TestRngReplay:
         cfg = CacheConfig(
             size=4096, line_size=64, assoc=4, policy=ReplacementPolicy.RANDOM
         )
-        cache = make_cache(cfg, seed=9, backend=backend)
+        cache = SetAssociativeCache(cfg, seed=9, backend=backend)
         cache.access(stream(n=2000, span=800))
         return cache
 

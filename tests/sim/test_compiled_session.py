@@ -18,6 +18,7 @@ from repro.sim.engine import Simulator
 from repro.sim.session import SimulationSession
 from repro.workloads.compile import compile_workload
 from repro.workloads.registry import make_workload
+from tests.conftest import pinned_kernel
 
 SEED = 5
 
@@ -43,11 +44,20 @@ def _workload(app):
     return make_workload(app, seed=SEED, **TINY[app])
 
 
-def _simulator(backend="reference", policy=ReplacementPolicy.LRU):
-    return Simulator(
-        CacheConfig(size=32 * 1024, assoc=4, policy=policy, backend=backend),
-        seed=11,
-    )
+def _simulator(policy=ReplacementPolicy.LRU):
+    return Simulator(CacheConfig(size=32 * 1024, assoc=4, policy=policy), seed=11)
+
+
+def _run(workload, backend="reference", policy=ReplacementPolicy.LRU, **kwargs):
+    """A whole run with its cache on ``backend``'s kernel."""
+    with pinned_kernel(backend):
+        return _simulator(policy).run(workload, **kwargs)
+
+
+def _start(workload, backend="reference", **kwargs):
+    """A session whose cache runs ``backend``'s kernel."""
+    with pinned_kernel(backend):
+        return _simulator().start_session(workload, **kwargs)
 
 
 def _stats_tuple(stats):
@@ -81,18 +91,16 @@ class TestCompiledBitIdentity:
     def test_runstats_identical(self, app):
         workload = _workload(app)
         compiled = compile_workload(workload)
-        generator = _simulator().run(_workload(app))
-        fast = _simulator(backend="array").run(workload, compiled=compiled)
+        generator = _run(_workload(app))
+        fast = _run(workload, backend="array", compiled=compiled)
         assert _stats_tuple(generator.stats) == _stats_tuple(fast.stats)
         assert generator.actual.table() == fast.actual.table()
 
     def test_mid_run_snapshots_identical(self, app):
         workload = _workload(app)
         compiled = compile_workload(workload)
-        gen_session = _simulator().start_session(_workload(app))
-        fast_session = _simulator(backend="array").start_session(
-            workload, compiled=compiled
-        )
+        gen_session = _start(_workload(app))
+        fast_session = _start(workload, backend="array", compiled=compiled)
         while not gen_session.finished:
             running_gen = gen_session.step()
             running_fast = fast_session.step()
@@ -102,10 +110,10 @@ class TestCompiledBitIdentity:
     def test_snapshot_resumes_on_the_other_path(self, app):
         workload = _workload(app)
         compiled = compile_workload(workload)
-        expected = _simulator().run(_workload(app))
+        expected = _run(_workload(app))
 
         # Generator session, interrupted mid-run ...
-        session = _simulator().start_session(_workload(app))
+        session = _start(_workload(app))
         for _ in range(3):
             assert session.step()
         snap = session.snapshot()
@@ -119,11 +127,9 @@ class TestCompiledBitIdentity:
     def test_compiled_snapshot_resumes_on_generator(self, app):
         workload = _workload(app)
         compiled = compile_workload(workload)
-        expected = _simulator().run(_workload(app))
+        expected = _run(_workload(app))
 
-        session = _simulator(backend="array").start_session(
-            workload, compiled=compiled
-        )
+        session = _start(workload, backend="array", compiled=compiled)
         for _ in range(3):
             assert session.step()
         snap = session.snapshot()
@@ -143,27 +149,32 @@ class TestRandomPolicyReplay:
     def test_random_policy_runstats_identical(self, app):
         workload = _workload(app)
         compiled = compile_workload(workload)
-        generator = _simulator(policy=ReplacementPolicy.RANDOM).run(_workload(app))
-        fast = _simulator(backend="array", policy=ReplacementPolicy.RANDOM).run(
-            workload, compiled=compiled
+        generator = _run(_workload(app), policy=ReplacementPolicy.RANDOM)
+        fast = _run(
+            workload,
+            backend="array",
+            policy=ReplacementPolicy.RANDOM,
+            compiled=compiled,
         )
         assert _stats_tuple(generator.stats) == _stats_tuple(fast.stats)
 
 
 class TestSimulatorCompileStreams:
     def test_compile_streams_flag_is_end_to_end(self, tmp_path):
-        expected = _simulator().run(_workload("tomcatv"))
+        expected = _run(_workload("tomcatv"))
         sim = Simulator(
-            CacheConfig(size=32 * 1024, assoc=4, backend="auto"),
+            CacheConfig(size=32 * 1024, assoc=4),
             seed=11,
             compile_streams=True,
             stream_cache_dir=str(tmp_path),
         )
-        result = sim.run(_workload("tomcatv"))
+        with pinned_kernel("auto"):
+            result = sim.run(_workload("tomcatv"))
         assert _stats_tuple(result.stats) == _stats_tuple(expected.stats)
         # The stream cache was populated and is reused on the next run.
         assert any((tmp_path / "streams").iterdir())
-        again = sim.run(_workload("tomcatv"))
+        with pinned_kernel("auto"):
+            again = sim.run(_workload("tomcatv"))
         assert _stats_tuple(again.stats) == _stats_tuple(expected.stats)
 
     def test_unsafe_workload_falls_back_to_generator(self, tmp_path):

@@ -128,6 +128,48 @@ class TestRoundTrips:
             assert a.cycles_per_ref == b.cycles_per_ref
 
 
+class TestHostileInputs:
+    """Damaged files fail with a TraceError naming the path, which the
+    CLI prints as one line before exiting 2."""
+
+    def test_truncated_gzip_text(self, tmp_path):
+        path = tmp_path / "cut.trace.gz"
+        whole = gzip.compress((TEXT * 50).encode())
+        for cut in (5, len(whole) // 2):  # inside the header, then the body
+            path.write_bytes(whole[:cut])
+            with pytest.raises(TraceError, match="corrupt gzip trace .*cut.trace.gz"):
+                load_any_trace(path)
+
+    def test_non_utf8_text(self, tmp_path):
+        path = tmp_path / "latin.trace"
+        path.write_bytes(b"R 0x40\n\xff\xfe R 0x80\n")
+        with pytest.raises(TraceError, match="latin.trace: not a UTF-8"):
+            load_any_trace(path)
+
+    def test_truncated_npz(self, tmp_path, npz_trace):
+        path = tmp_path / "cut.npz"
+        whole = npz_trace.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(TraceError, match="cut.npz"):
+            load_trace(path)
+        with pytest.raises(TraceError, match="cut.npz"):
+            load_any_trace(path)
+
+    @pytest.mark.parametrize("verb", ["import", "info"])
+    def test_cli_exits_2_with_one_line(self, verb, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cut.trace.gz"
+        whole = gzip.compress((TEXT * 50).encode())
+        path.write_bytes(whole[: len(whole) // 2])
+        argv = ["trace", verb, str(path)]
+        if verb == "import":
+            argv.append(str(tmp_path / "out"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cut.trace.gz" in err
+
+
 class TestDeriveLayout:
     def test_clusters_by_address_gap(self):
         blocks = [
