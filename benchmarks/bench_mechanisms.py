@@ -1,13 +1,14 @@
 """Throughput of mechanism-decorated cache stacks vs the plain kernel.
 
-Replays the same reference streams through the undecorated reference
-kernel and through each mechanism stack (victim cache, miss cache,
-stream buffers, and the two classic pairings — see
-``repro.cache.components``), reporting refs/sec per stack. Decorated
-stacks run the scalar per-line protocol, so they are expected to be
-slower than the chunked kernels; the gate exists to keep that scalar
-path from regressing further (e.g. per-reference object churn sneaking
-into ``access_line``), not to race it against the array kernel.
+Replays the same reference streams through the undecorated cache (on
+the default kernel) and through each mechanism stack (victim cache,
+miss cache, stream buffers, and the two classic pairings — see
+``repro.cache.components``), reporting refs/sec per stack. A decorated
+stack hands each chunk to its leaf's per-line loop once and calls the
+mechanisms only on the leaf's misses, so its cost follows the leaf's
+miss ratio; the gate keeps that fused path from regressing (e.g.
+per-reference object churn sneaking back into the leaf's
+``scan_lines`` loop or the chain's miss hooks).
 
 Correctness rides along: every decorated stack must post no more misses
 than the plain cache over the identical stream, the leaf ledger must
@@ -46,7 +47,7 @@ CHUNK = 1 << 15  # the engine's chunk size
 SEED = 99
 
 #: Per-case stream cap: long enough to warm every buffer, short enough
-#: that five scalar stacks x repeats stay in CI budget.
+#: that five stacks x repeats stay in CI budget.
 MAX_REFS = 150_000
 
 CFG = CacheConfig(size=32 * 1024, line_size=64, assoc=2)

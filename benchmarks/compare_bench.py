@@ -46,9 +46,10 @@ FAST_PATH = {
     "cache-kernel-backends": ("backends", "array"),
     "end-to-end-simulator": ("paths", "compiled"),
     "mrc-sweep": ("paths", "mrc"),
-    # Decorated stacks are scalar by design; the gated quantity is the
-    # vc stack's refs/sec (slowest-common mechanism path) so the scalar
-    # protocol can't quietly regress.
+    # Decorated stacks run the leaf's per-line loop once per chunk and
+    # call the mechanisms only on its misses; the gated quantity is the
+    # vc stack's refs/sec (the common mechanism path) so that fused
+    # path can't quietly regress.
     "mechanism-stacks": ("stacks", "vc"),
     # The interleaved multi-core path carries the shared-port protocol
     # and the shadow classifier on its hot loop; the solo path inside

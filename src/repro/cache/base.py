@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
+from repro.errors import SimulationError
 
 
 @dataclass
@@ -122,6 +123,19 @@ class AccessResult(NamedTuple):
     @property
     def n_misses(self) -> int:
         return int(self.miss_mask.sum())
+
+
+def check_miss_budget(miss_budget: int | None) -> None:
+    """Reject a ``miss_budget`` that no reference could satisfy.
+
+    A budget counts the misses a chunk may take before it stops, so it is
+    ``None`` (no budget) or at least 1; every model's ``access`` calls
+    this first rather than reading 0 or a negative number its own way.
+    """
+    if miss_budget is not None and miss_budget < 1:
+        raise SimulationError(
+            f"miss_budget must be None or >= 1, got {miss_budget!r}"
+        )
 
 
 class CacheModel(abc.ABC):

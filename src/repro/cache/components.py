@@ -7,12 +7,15 @@ mirroring the VC/MC/SB experimental design in SNIPPETS.md #3):
 
 * :class:`CacheComponent` — the component protocol. On top of the
   chunked :class:`~repro.cache.base.CacheModel` interface it adds a
-  *scalar* per-line path (``begin_stage`` / ``access_line`` /
+  *per-line* path (``begin_stage`` / ``access_line`` / ``scan_lines`` /
   ``commit_stage``) plus stats-free state capture
-  (``state_snapshot``/``state_restore``). The scalar path exists because
-  decorators need each reference's *eviction victim* from the component
-  they wrap — information the chunked kernel interface deliberately does
-  not expose;
+  (``state_snapshot``/``state_restore``). The per-line path exists
+  because decorators need each miss's *eviction victim* from the
+  component they wrap — information the chunked kernel interface
+  deliberately does not expose. ``scan_lines`` runs a whole chunk
+  through the component in one loop and hands each of its misses, with
+  the victim, to a callback: that is how a decorated stack classifies a
+  chunk, with the mechanisms called only on the leaf's misses;
 * :class:`Pipeline` — a generic N-level filtering hierarchy
   (:class:`~repro.cache.hierarchy.TwoLevelCache` is its two-level
   specialisation and stays bit-identical to the pre-refactor model);
@@ -44,24 +47,29 @@ Mechanism semantics (Jouppi 1990, adapted to this code base's model):
   Every rescued line was prefetched earlier (``sb_hits`` can never
   exceed ``sb_prefetches``).
 
-Decorated stacks run on the reference kernel only (a decorator moves the
-component it wraps onto it; there is no flat/vectorised path for
-decorators yet), and the scalar loop stops *exactly* at the budget-th
-post-mechanism miss — the same interrupt-precision contract the chunked
-models honour.
+Each mechanism's logic is one method, ``_on_inner_miss(line, victim) ->
+(miss, leaving)``, which runs only when the component it wraps missed:
+a decorator returns at once on an inner hit, and the leaf evolves the
+same with or without decoration. So a decorated stack hands each chunk
+to its innermost non-decorator once (``scan_lines``), whose loop calls
+the chain's hooks, innermost first, on its own misses only, and stops
+*exactly* after the budget-th post-mechanism miss — the same
+interrupt-precision contract the chunked models honour. Decorated stacks
+run on the reference kernel (a decorator moves the component it wraps
+onto it), whose per-set lists the leaf's loop edits.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro import sanitize
-from repro.cache.base import AccessResult, CacheModel, CacheStats
+from repro.cache.base import AccessResult, CacheModel, CacheStats, check_miss_budget
 from repro.cache.config import CacheConfig, MechanismSpec, parse_mechanisms
-from repro.cache.kernels.base import KernelResult
+from repro.cache.kernels.base import KernelResult, SetKernel
 from repro.errors import CacheConfigError
 
 
@@ -79,18 +87,28 @@ class LineOutcome(NamedTuple):
     evicted: int | None
 
 
+#: The outcome of every hit (nothing missed, nothing left).
+LINE_HIT = LineOutcome(False, None)
+
+#: ``on_miss(line, victim) -> bool`` — called by :meth:`CacheComponent.
+#: scan_lines` on each of the component's own misses; True when the miss
+#: survives (is a miss of the whole stack), False when it was rescued.
+MissHook = Callable[[int, "int | None"], bool]
+
+
 class CacheComponent(CacheModel):
     """A cache model that can participate in pipelines and decorators.
 
     Besides the chunked :meth:`~repro.cache.base.CacheModel.access`, a
     component exposes:
 
-    * a **staged** scalar path — :meth:`begin_stage` resets per-chunk
+    * a **staged** per-line path — :meth:`begin_stage` resets per-chunk
       event counters, :meth:`access_line` applies one line reference and
-      reports the victim, :meth:`commit_stage` records the staged counts
-      into :attr:`stats` under a tag (cascading to wrapped components),
-      keeping every counter movement inside ``CacheStats.record``
-      (RPL401);
+      reports the victim, :meth:`scan_lines` applies a list of lines and
+      reports each miss's victim to a hook, :meth:`commit_stage` records
+      the staged counts into :attr:`stats` under a tag (cascading to
+      wrapped components), keeping every counter movement inside
+      ``CacheStats.record`` (RPL401);
     * ``_chunk_access`` — the chunked classification *without* stats
       recording, so compositions control when and with what access
       totals each ledger is committed;
@@ -115,6 +133,34 @@ class CacheComponent(CacheModel):
     @abc.abstractmethod
     def commit_stage(self, tag: str, accesses: int) -> None:
         """Record staged counts into :attr:`stats` (cascades to inner)."""
+
+    def scan_lines(
+        self,
+        lines: Sequence[int],
+        writes: Sequence[bool] | None,
+        budget: int | None,
+        on_miss: MissHook,
+    ) -> tuple[bytearray, int]:
+        """Apply ``lines`` in order, calling ``on_miss`` on each own miss.
+
+        Returns one 0/1 byte per line (1 where ``on_miss`` returned True)
+        and the number of lines applied: the scan stops right after the
+        ``budget``-th True (``None`` = no budget). This default loops
+        over :meth:`access_line`; a leaf may run the same loop inline.
+        """
+        n = len(lines)
+        flags = bytearray(n)
+        left = n + 1 if budget is None else budget
+        access_line = self.access_line
+        for i in range(n):
+            line = lines[i]
+            miss, victim = access_line(line, False if writes is None else writes[i])
+            if miss and on_miss(line, victim):
+                flags[i] = 1
+                left -= 1
+                if left == 0:
+                    return flags, i + 1
+        return flags, n
 
     # ----------------------------------------------------------- chunked
 
@@ -147,11 +193,12 @@ class CacheComponent(CacheModel):
 class MechanismDecorator(CacheComponent):
     """Base class for miss-reduction decorators wrapping a component.
 
-    The decorator drives the wrapped component through the scalar path
-    one line at a time, rescuing (or confirming) each inner miss. Its
-    ``access`` therefore reports the *post-mechanism* miss stream — what
-    a memory-side hardware counter would see — and honours
-    ``miss_budget`` against exactly that stream.
+    A subclass supplies :meth:`_on_inner_miss`, which rescues (or
+    confirms) one inner miss. ``access`` hands the chunk to the
+    innermost non-decorator's :meth:`~CacheComponent.scan_lines` with the
+    chain's hooks as its miss callback, so it reports the
+    *post-mechanism* miss stream — what a memory-side hardware counter
+    would see — and honours ``miss_budget`` against exactly that stream.
     """
 
     #: Mechanism kind tag ("vc", "mc", "sb") — prefixes ledger keys.
@@ -207,6 +254,26 @@ class MechanismDecorator(CacheComponent):
             counts["sb_prefetches"] = self._staged_prefetches
         return counts
 
+    # ---------------------------------------------------------- per line
+
+    @abc.abstractmethod
+    def _on_inner_miss(
+        self, line: int, victim: int | None
+    ) -> tuple[bool, int | None]:
+        """Handle one miss of the wrapped component on ``line``.
+
+        ``victim`` is the line that left the wrapped component (None when
+        nothing did). Returns ``(miss, leaving)``: whether the reference
+        still misses after this mechanism, and the line that left the
+        decorated component as a whole.
+        """
+
+    def access_line(self, line: int, write: bool = False) -> LineOutcome:
+        out = self.inner.access_line(line, write)
+        if not out.miss:
+            return LINE_HIT
+        return LineOutcome(*self._on_inner_miss(line, out.evicted))
+
     # ----------------------------------------------------------- chunked
 
     def _chunk_access(
@@ -216,30 +283,37 @@ class MechanismDecorator(CacheComponent):
         writes: np.ndarray | None = None,
     ) -> KernelResult:
         self.begin_stage()
-        n = len(addrs)
+        hooks = []
+        leaf: CacheComponent = self
+        while isinstance(leaf, MechanismDecorator):
+            hooks.append(leaf._on_inner_miss)
+            leaf = leaf.inner
+        hooks.reverse()  # innermost first: the order a miss travels out
+
+        def on_miss(line: int, victim: int | None) -> bool:
+            for hook in hooks:
+                miss, victim = hook(line, victim)
+                if not miss:
+                    return False
+            return True
+
         lines = (
             np.asarray(addrs, dtype=np.uint64)
             >> np.uint64(self.config.line_bits)
         ).tolist()
-        write_flags = writes.tolist() if writes is not None else None
-        access_line = self.access_line
-        miss_flags = bytearray(n)
-        budget = miss_budget if miss_budget is not None else n + 1
-        misses = 0
-        consumed = n
-        for i in range(n):
-            write = bool(write_flags[i]) if write_flags is not None else False
-            if access_line(lines[i], write).miss:
-                miss_flags[i] = 1
-                misses += 1
-                budget -= 1
-                if budget == 0:
-                    consumed = i + 1
-                    break
-        miss_mask = np.frombuffer(
-            bytes(miss_flags[:consumed]), dtype=np.uint8
-        ).astype(bool)
-        return KernelResult(miss_mask, consumed, misses, 0, 0)
+        flags, consumed = leaf.scan_lines(
+            lines,
+            writes.tolist() if writes is not None else None,
+            miss_budget,
+            on_miss,
+        )
+        return KernelResult(
+            SetKernel._miss_mask(flags, consumed),
+            consumed,
+            flags.count(1, 0, consumed),
+            0,
+            0,
+        )
 
     def access(
         self,
@@ -248,6 +322,7 @@ class MechanismDecorator(CacheComponent):
         tag: str = "app",
         writes: np.ndarray | None = None,
     ) -> AccessResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)
@@ -316,28 +391,28 @@ class VictimCache(MechanismDecorator):
         #: Insertion-ordered line -> None map; oldest entry first (LRU).
         self._lines: dict[int, None] = {}
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
+    def _on_inner_miss(
+        self, line: int, victim: int | None
+    ) -> tuple[bool, int | None]:
         self._staged_probes += 1
-        if line in self._lines:
+        lines = self._lines
+        if line in lines:
             # Swap: the VC entry is consumed and the inner victim takes
             # its slot, so the VC never overflows here and nothing
             # leaves the decorated stack.
-            del self._lines[line]
-            if out.evicted is not None:
-                self._lines[out.evicted] = None
+            del lines[line]
+            if victim is not None:
+                lines[victim] = None
             self._staged_hits += 1
-            return LineOutcome(False, None)
+            return False, None
         leaving: int | None = None
-        if out.evicted is not None:
-            self._lines[out.evicted] = None
-            if len(self._lines) > self.entries:
-                leaving = next(iter(self._lines))
-                del self._lines[leaving]
+        if victim is not None:
+            lines[victim] = None
+            if len(lines) > self.entries:
+                leaving = next(iter(lines))
+                del lines[leaving]
         self._staged_misses += 1
-        return LineOutcome(True, leaving)
+        return True, leaving
 
     def _own_state(self) -> object:
         return dict(self._lines)
@@ -362,27 +437,27 @@ class MissCache(MechanismDecorator):
         #: Insertion-ordered line -> None map; oldest entry first (LRU).
         self._lines: dict[int, None] = {}
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
+    def _on_inner_miss(
+        self, line: int, victim: int | None
+    ) -> tuple[bool, int | None]:
         self._staged_probes += 1
-        if line in self._lines:
+        lines = self._lines
+        if line in lines:
             # LRU promote; the line stays duplicated in the MC while the
             # inner fill (already applied) also holds it.
-            del self._lines[line]
-            self._lines[line] = None
+            del lines[line]
+            lines[line] = None
             self._staged_hits += 1
-            return LineOutcome(False, out.evicted)
-        self._lines[line] = None
-        leaving = out.evicted
-        if len(self._lines) > self.entries:
-            dropped = next(iter(self._lines))
-            del self._lines[dropped]
+            return False, victim
+        lines[line] = None
+        leaving = victim
+        if len(lines) > self.entries:
+            dropped = next(iter(lines))
+            del lines[dropped]
             if leaving is None:
                 leaving = dropped
         self._staged_misses += 1
-        return LineOutcome(True, leaving)
+        return True, leaving
 
     def _own_state(self) -> object:
         return dict(self._lines)
@@ -414,27 +489,27 @@ class StreamBuffers(MechanismDecorator):
         #: Buffer indices, least recently used first.
         self._lru: list[int] = list(range(entries))
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
+    def _on_inner_miss(
+        self, line: int, victim: int | None
+    ) -> tuple[bool, int | None]:
         self._staged_probes += 1
-        for buf in range(self.entries):
-            if self._heads[buf] == line:
-                # Head hit: the buffer shifts and prefetches one more
-                # line to keep its depth, rescuing the miss.
-                self._heads[buf] = line + 1
-                self._staged_prefetches += 1
-                self._staged_hits += 1
-                self._lru.remove(buf)
-                self._lru.append(buf)
-                return LineOutcome(False, out.evicted)
+        heads = self._heads
+        if line in heads:
+            # Head hit: the buffer shifts and prefetches one more line
+            # to keep its depth, rescuing the miss.
+            buf = heads.index(line)
+            heads[buf] = line + 1
+            self._staged_prefetches += 1
+            self._staged_hits += 1
+            self._lru.remove(buf)
+            self._lru.append(buf)
+            return False, victim
         buf = self._lru.pop(0)
         self._lru.append(buf)
-        self._heads[buf] = line + 1
+        heads[buf] = line + 1
         self._staged_prefetches += self.depth
         self._staged_misses += 1
-        return LineOutcome(True, out.evicted)
+        return True, victim
 
     def _own_state(self) -> object:
         return (list(self._heads), list(self._lru))
@@ -514,7 +589,7 @@ class Pipeline(CacheComponent):
         for level in self.levels:
             out = level.access_line(line, False)
             if not out.miss:
-                return LineOutcome(False, None)
+                return LINE_HIT
         return out
 
     def commit_stage(self, tag: str, accesses: int) -> None:
@@ -592,6 +667,7 @@ class Pipeline(CacheComponent):
         tag: str = "app",
         writes: np.ndarray | None = None,
     ) -> AccessResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)
@@ -815,6 +891,7 @@ class SharedLevelPort(CacheComponent):
         tag: str = "app",
         writes: np.ndarray | None = None,
     ) -> AccessResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import sanitize
-from repro.cache.base import AccessResult
+from repro.cache.base import AccessResult, check_miss_budget
 from repro.cache.components import CacheComponent, LineOutcome
 from repro.cache.config import CacheConfig
 from repro.cache.kernels.base import KernelResult
@@ -90,6 +90,7 @@ class DirectMappedCache(CacheComponent):
         # This model is write-through/no-write-allocate-free: stores and
         # loads are classified identically and no dirty state is kept, so
         # ``writes`` does not change the miss mask.
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)

@@ -38,11 +38,13 @@ Both features are honoured identically by every backend.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro import sanitize
-from repro.cache.base import AccessResult
-from repro.cache.components import CacheComponent, LineOutcome
+from repro.cache.base import AccessResult, check_miss_budget
+from repro.cache.components import LINE_HIT, CacheComponent, LineOutcome, MissHook
 from repro.cache.config import CacheConfig
 from repro.cache.kernels import kernel_for_config, resolve_backend
 from repro.cache.kernels.base import KernelResult
@@ -110,6 +112,7 @@ class SetAssociativeCache(CacheComponent):
         tag: str = "app",
         writes: np.ndarray | None = None,
     ) -> AccessResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)
@@ -191,13 +194,22 @@ class SetAssociativeCache(CacheComponent):
         self._staged_prefetches += res.prefetches
         return res
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        """Scalar per-line path for decorator components.
+    def scan_lines(
+        self,
+        lines: Sequence[int],
+        writes: Sequence[bool] | None,
+        budget: int | None,
+        on_miss: MissHook,
+    ) -> tuple[bytearray, int]:
+        """The per-line path decorated stacks run, one loop per chunk.
 
         A direct transcription of the reference kernel's per-reference
-        loop body, operating on its set state so victims are observable;
-        decorated stacks run on the reference kernel only (see
-        :meth:`prepare_line_access`), hence the guard. The next-line
+        loop body, operating on its set state so each miss's victim can
+        be handed to ``on_miss``; decorated stacks run on the reference
+        kernel only (see :meth:`prepare_line_access`), hence the guard.
+        A RANDOM eviction refills the pool with 4096 draws when it runs
+        empty, so draws depend only on evictions and a decorated stack's
+        results do not depend on where its chunks split. The next-line
         prefetcher is not supported here —
         :class:`~repro.cache.components.StreamBuffers` is the composable
         replacement.
@@ -215,37 +227,65 @@ class SetAssociativeCache(CacheComponent):
                 "prefetch_next_line cannot combine with decorator "
                 "components; wrap the cache in StreamBuffers instead"
             )
-        s = sets[line & kernel.set_mask]
+        set_mask = kernel.set_mask
+        assoc = kernel.assoc
         dirty = kernel._dirty
-        if line in s:
-            if kernel.policy is ReplacementPolicy.LRU and s[-1] != line:
-                s.remove(line)
-                s.append(line)
-            if write:
-                dirty.add(line)
-            return LineOutcome(False, None)
-        self._staged_misses += 1
-        evicted: int | None = None
-        if len(s) >= kernel.assoc:
-            if kernel.policy is ReplacementPolicy.RANDOM:
-                if not kernel._rand_pool:
-                    # Scalar path refills on empty (chunk-size invariant
-                    # by construction: draws depend only on evictions).
-                    kernel._refill_rand_pool(4096)
-                evicted = s.pop(kernel._rand_pool.pop())
-            else:
-                evicted = s.pop(0)  # LRU and FIFO both evict the head
-            if evicted in dirty:
-                dirty.discard(evicted)
-                self._staged_writebacks += 1
-        s.append(line)
-        if write:
-            dirty.add(line)
-        return LineOutcome(True, evicted)
+        lru = kernel.policy is ReplacementPolicy.LRU
+        random_policy = kernel.policy is ReplacementPolicy.RANDOM
+        n = len(lines)
+        flags = bytearray(n)
+        left = n + 1 if budget is None else budget
+        consumed = n
+        misses = writebacks = 0
+        for i in range(n):
+            line = lines[i]
+            s = sets[line & set_mask]
+            if line in s:
+                if lru and s[-1] != line:
+                    s.remove(line)
+                    s.append(line)
+                if writes is not None and writes[i]:
+                    dirty.add(line)
+                continue
+            misses += 1
+            victim: int | None = None
+            if len(s) >= assoc:
+                if random_policy:
+                    if not kernel._rand_pool:
+                        kernel._refill_rand_pool(4096)
+                    victim = s.pop(kernel._rand_pool.pop())
+                else:
+                    victim = s.pop(0)  # LRU and FIFO both evict the head
+                if victim in dirty:
+                    dirty.discard(victim)
+                    writebacks += 1
+            s.append(line)
+            if writes is not None and writes[i]:
+                dirty.add(line)  # write-allocate: filled dirty
+            if on_miss(line, victim):
+                flags[i] = 1
+                left -= 1
+                if left == 0:
+                    consumed = i + 1
+                    break
+        self._staged_misses += misses
+        self._staged_writebacks += writebacks
+        return flags, consumed
+
+    def access_line(self, line: int, write: bool = False) -> LineOutcome:
+        """One reference through :meth:`scan_lines`, reporting the victim."""
+        victims: list[int | None] = []
+
+        def keep(_line: int, victim: int | None) -> bool:
+            victims.append(victim)
+            return True
+
+        self.scan_lines((line,), (write,), None, keep)
+        return LineOutcome(True, victims[0]) if victims else LINE_HIT
 
     def prepare_line_access(self) -> None:
         """Move a fresh cache onto the reference kernel, whose per-set line
-        lists :meth:`access_line` edits. Same seed, so the RANDOM eviction
+        lists :meth:`scan_lines` edits. Same seed, so the RANDOM eviction
         stream is the one the cache would have drawn on any kernel."""
         if self.backend == "reference":
             return

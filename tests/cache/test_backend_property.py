@@ -28,7 +28,8 @@ def chunk_plans(draw):
         lines = draw(
             st.lists(st.integers(0, 255), min_size=0, max_size=200)
         )
-        budget = draw(st.one_of(st.none(), st.integers(0, 20)))
+        # A budget is None or >= 1: every model rejects 0 and below.
+        budget = draw(st.one_of(st.none(), st.integers(1, 20)))
         if draw(st.booleans()):
             writes = draw(
                 st.lists(
